@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from unanimity.report import render_ranking_report
 from unanimity.stats import categorize_improvement, parametric_uir
 from unanimity.uir import unanimous_improvement_ratio
 
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
@@ -43,7 +46,8 @@ def _load_table(path: str, percent: bool) -> ScoreTable:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive ascending grid."""
+    """Parse ``start:stop:step`` into an inclusive ascending grid of at most
+    ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"bad grid {text!r}, expected start:stop:step")
@@ -51,12 +55,17 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad grid {text!r}, expected numeric start:stop:step") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"bad grid {text!r}, expected finite start:stop:step")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    # Compared as a float: a tiny step makes ``steps`` overflow to inf.
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [round(start + i * step, 12) for i in range(int(steps) + 1)]
 
 
 def _csv_writer():

@@ -11,31 +11,70 @@ quadrants with deterministic Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
-from scipy.special import ndtr, roots_legendre
-from scipy.stats import rankdata
+from typing import TYPE_CHECKING
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import MetricPair, metric_pair_columns
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that use it, so that commands
+# which never reach this module's statistics (eval, rank, alpha-sweep)
+# never pay its import.
 
 EXACT_CUTOFF = 20
 
 
 @dataclass(frozen=True)
 class WilcoxonResult:
-    """Two-sided signed-rank test outcome on paired samples."""
+    """Two-sided signed-rank test outcome on paired samples.
 
-    w_statistic: float
+    ``w_plus`` and ``w_minus`` are the rank sums of the positive and the
+    negative differences; the test statistic is the smaller of the two.
+    """
+
+    w_plus: float
+    w_minus: float
     n_effective: int
     p_value: float
     significant: bool
 
+    @property
+    def w_statistic(self) -> float:
+        return min(self.w_plus, self.w_minus)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, with the branch structure of Cephes' ``ndtr``:
+    ``erf`` near zero, ``erfc`` of the magnitude in both tails."""
+    z = x * math.sqrt(0.5)
+    if abs(z) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(z)
+    y = 0.5 * math.erfc(abs(z))
+    return 1.0 - y if z > 0.0 else y
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing their mean rank."""
+    import numpy as np
+
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], ordered.size]
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
 
 def _signed_ranks(x, y):
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -46,13 +85,15 @@ def _signed_ranks(x, y):
     d = d[d != 0.0]
     if d.size == 0:
         return d, np.empty(0), 0.0, 0.0
-    ranks = rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     return d, ranks, w_plus, w_minus
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
+    import numpy as np
+
     # Average ranks are half-integers; double them onto an exact int lattice.
     r2 = np.rint(ranks * 2.0).astype(np.int64)
     total = int(r2.sum())
@@ -70,13 +111,15 @@ def _exact_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
 
 
 def _approx_two_sided_p(d: np.ndarray, w_min: float, n: int) -> float:
+    import numpy as np
+
     mean = n * (n + 1) / 4.0
     _, tie_counts = np.unique(np.abs(d), return_counts=True)
     tie_term = float((tie_counts.astype(float) ** 3 - tie_counts).sum())
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     # w_min <= mean, so the continuity correction moves toward the mean.
     z = (w_min - mean + 0.5) / math.sqrt(var)
-    return float(min(1.0, 2.0 * ndtr(z)))
+    return min(1.0, 2.0 * _ndtr(z))
 
 
 def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResult:
@@ -92,13 +135,13 @@ def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResu
     d, ranks, w_plus, w_minus = _signed_ranks(x, y)
     n = int(d.size)
     if n == 0:
-        return WilcoxonResult(0.0, 0, 1.0, False)
+        return WilcoxonResult(0.0, 0.0, 0, 1.0, False)
     w = min(w_plus, w_minus)
     if n <= EXACT_CUTOFF:
         p = _exact_two_sided_p(ranks, w)
     else:
         p = _approx_two_sided_p(d, w, n)
-    return WilcoxonResult(w, n, p, p < significance_level)
+    return WilcoxonResult(w_plus, w_minus, n, p, p < significance_level)
 
 
 class ImprovementCategory(Enum):
@@ -137,8 +180,7 @@ def categorize_improvement(
         if not result.significant:
             directions.append(0)
             continue
-        _, _, w_plus, w_minus = _signed_ranks(x, y)
-        directions.append(1 if w_plus > w_minus else -1)
+        directions.append(1 if result.w_plus > result.w_minus else -1)
     if all(direction == 0 for direction in directions):
         return ImprovementCategory.NON_SIGNIFICANT
     if 1 in directions and -1 in directions:
@@ -157,6 +199,8 @@ class BivariateNormalModel:
     covariance: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
@@ -181,6 +225,8 @@ def fit_bivariate_normal(deltas) -> BivariateNormalModel:
     differences) get 1e-9 added to the diagonal so quadrant probabilities
     stay well defined.  Needs at least 3 samples.
     """
+    import numpy as np
+
     arr = np.asarray(deltas, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise ValueError("insufficient samples for parametric UIR (need >= 3 pairs)")
@@ -192,6 +238,18 @@ def fit_bivariate_normal(deltas) -> BivariateNormalModel:
     return BivariateNormalModel(mean, cov)
 
 
+@functools.cache
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
+    and returned read-only because every caller shares them."""
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     """P(X > dh, Y > dk) for standard bivariate normal X, Y with correlation r.
 
@@ -201,14 +259,16 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     analytic singular part.  Absolute error is below 5e-16, far inside the
     1e-6 needed here; r = +-1 reduces to exact single-normal expressions.
     """
+    import numpy as np
+
     if math.isinf(dh) or math.isinf(dk):
         if dh == math.inf or dk == math.inf:
             return 0.0
         if dh == -math.inf:
-            return 1.0 if dk == -math.inf else float(ndtr(-dk))
-        return float(ndtr(-dh))
+            return 1.0 if dk == -math.inf else _ndtr(-dk)
+        return _ndtr(-dh)
     if r == 0.0:
-        return float(ndtr(-dh) * ndtr(-dk))
+        return _ndtr(-dh) * _ndtr(-dk)
 
     if abs(r) < 0.3:
         nodes = 6
@@ -216,7 +276,7 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
         nodes = 12
     else:
         nodes = 20
-    x, w = roots_legendre(nodes)
+    x, w = _legendre_rule(nodes)
     x = 1.0 + x  # shift onto (0, 2); symmetry of the nodes covers both halves
 
     tp = 2.0 * math.pi
@@ -229,7 +289,7 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
         asr = math.asin(r) / 2.0
         sn = np.sin(asr * x)
         bvn = float(np.exp((sn * hk - hs) / (1.0 - sn**2)) @ w)
-        bvn = bvn * asr / tp + float(ndtr(-h)) * float(ndtr(-k))
+        bvn = bvn * asr / tp + _ndtr(-h) * _ndtr(-k)
     else:
         if r < 0.0:
             k = -k
@@ -249,7 +309,7 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
                 )
             if hk > -100.0:
                 b = math.sqrt(bs)
-                sp = math.sqrt(tp) * float(ndtr(-b / a))
+                sp = math.sqrt(tp) * _ndtr(-b / a)
                 bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
             a /= 2.0
             xs = (a * x) ** 2
@@ -261,14 +321,14 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
             ep = np.exp(-(hk / 2.0) * xs / (1.0 + rs) ** 2) / rs
             bvn = float(a * ((np.exp(asr[inside]) * (sp - ep)) @ w[inside]) - bvn) / tp
         if r > 0.0:
-            bvn += float(ndtr(-max(h, k)))
+            bvn += _ndtr(-max(h, k))
         elif h >= k:
             bvn = -bvn
         else:
             if h < 0.0:
-                tail = float(ndtr(k)) - float(ndtr(h))
+                tail = _ndtr(k) - _ndtr(h)
             else:
-                tail = float(ndtr(-h)) - float(ndtr(-k))
+                tail = _ndtr(-h) - _ndtr(-k)
             bvn = tail - bvn
     return min(1.0, max(0.0, bvn))
 
@@ -283,9 +343,9 @@ def orthant_probability(model: BivariateNormalModel) -> float:
     if s1 == 0.0 and s2 == 0.0:
         return 1.0 if mu[0] >= 0.0 and mu[1] >= 0.0 else 0.0
     if s1 == 0.0:
-        return float(ndtr(mu[1] / s2)) if mu[0] >= 0.0 else 0.0
+        return _ndtr(mu[1] / s2) if mu[0] >= 0.0 else 0.0
     if s2 == 0.0:
-        return float(ndtr(mu[0] / s1)) if mu[1] >= 0.0 else 0.0
+        return _ndtr(mu[0] / s1) if mu[1] >= 0.0 else 0.0
     rho = min(1.0, max(-1.0, cov[0, 1] / (s1 * s2)))
     return _bvn_upper_tail(-mu[0] / s1, -mu[1] / s2, rho)
 

@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: outputs, errors, determinism."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from unanimity.cli import main
+import unanimity
+from unanimity.cli import MAX_GRID_POINTS, _parse_grid, main
 from unanimity.data import parse_score_table, serialize_score_table
 
 from conftest import two_system_table
@@ -180,6 +186,24 @@ class TestSweeps:
         assert main(["alpha-sweep", "--scores", scores_csv, "--grid", "0:1"]) == 1
         assert capsys.readouterr().err.startswith("error: invalid: bad grid")
 
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:1", "-inf:0:1"])
+    def test_non_finite_grid_rejected(self, scores_csv, grid, capsys):
+        assert main(["alpha-sweep", "--scores", scores_csv, f"--grid={grid}"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid: bad grid")
+
+    @pytest.mark.parametrize(
+        "grid", ["0:1:1e-12", "0:1:1e-320", "-1e308:1e308:1", "0:100000:1"]
+    )
+    def test_oversized_grid_rejected(self, scores_csv, grid, capsys):
+        # Each of these is refused before any point is built.
+        assert main(["alpha-sweep", "--scores", scores_csv, f"--grid={grid}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid: grid")
+        assert f"more than {MAX_GRID_POINTS} points" in err
+
+    def test_grid_cap_is_inclusive(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
 
 class TestPredict:
     @pytest.fixture
@@ -253,3 +277,55 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--scores", scores_csv, "--bogus"])
         assert exc.value.code == 2
+
+
+IMPORT_PROBE = """
+import json, pkgutil, sys
+import unanimity.cli
+from unanimity.cli import main
+
+package = sys.modules["unanimity"]
+state = {
+    "unloaded": sorted(
+        m.name for m in pkgutil.iter_modules(package.__path__, "unanimity.")
+        if m.name not in sys.modules
+    ),
+    "import": ["numpy" in sys.modules, "scipy" in sys.modules],
+}
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    state[name] = ["numpy" in sys.modules, "scipy" in sys.modules]
+print(json.dumps(state))
+"""
+
+
+def test_heavy_imports_deferred(scores_csv, clustering_files, tmp_path):
+    """eval and rank never load numpy, no command loads scipy, and
+    ``import unanimity.cli`` still loads every submodule of the package."""
+    gold, sys_a, _ = clustering_files
+    out = str(tmp_path / "out.txt")
+    steps = [
+        ("eval", ["eval", "--system", sys_a, "--gold", gold, "--output", out]),
+        ("rank", ["rank", "--scores", scores_csv, "--output", out]),
+        (
+            "compare",
+            ["compare", "--scores", scores_csv, "--a", "A", "--b", "B",
+             "--parametric", "--output", out],
+        ),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    state = json.loads(proc.stdout)
+    assert state["unloaded"] == []
+    # [numpy loaded, scipy loaded] after each step, in order.
+    assert state["import"] == [False, False]
+    assert state["eval"] == [False, False]
+    assert state["rank"] == [False, False]
+    assert state["compare"] == [True, False]

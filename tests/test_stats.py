@@ -5,9 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, roots_legendre
 from scipy.stats import rankdata
 
 from unanimity.stats import (
+    _average_ranks,
+    _legendre_rule,
+    _ndtr,
     BivariateNormalModel,
     ImprovementCategory,
     categorize_improvement,
@@ -39,10 +45,45 @@ def oracle_wilcoxon_p(x, y):
     return count / (2 ** n)
 
 
+class TestScipyReplacements:
+    """The stdlib/numpy stand-ins for scipy agree with scipy itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 25), min_size=1, max_size=60))
+    def test_average_ranks_equal_rankdata(self, ks):
+        values = np.asarray(ks) / 5.0
+        assert _average_ranks(values).tobytes() == rankdata(values).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-12.0, 12.0))
+    def test_ndtr_central(self, x):
+        assert math.isclose(_ndtr(x), ndtr(x), rel_tol=1e-14, abs_tol=0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-37.0, 9.0))
+    def test_ndtr_lower_tail(self, x):
+        assert math.isclose(_ndtr(x), ndtr(x), rel_tol=1e-13, abs_tol=0.0)
+
+    def test_ndtr_anchors(self):
+        assert _ndtr(0.0) == 0.5
+        assert _ndtr(-math.inf) == 0.0
+        assert _ndtr(math.inf) == 1.0
+
+    @pytest.mark.parametrize("nodes", [6, 12, 20])
+    def test_legendre_rule_matches_scipy(self, nodes):
+        x, w = _legendre_rule(nodes)
+        x_ref, w_ref = roots_legendre(nodes)
+        assert np.max(np.abs(x - x_ref)) <= 2e-15
+        assert np.max(np.abs(w - w_ref)) <= 2e-15
+        assert _legendre_rule(nodes) is _legendre_rule(nodes)
+        assert not x.flags.writeable and not w.flags.writeable
+
+
 class TestWilcoxon:
     def test_all_positive_n5(self):
         res = wilcoxon_signed_rank([0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.1, 0.2, 0.3, 0.4])
         assert res.w_statistic == 0.0
+        assert (res.w_plus, res.w_minus) == (15.0, 0.0)
         assert res.n_effective == 5
         assert res.p_value == 2 / 32
         assert not res.significant
@@ -75,6 +116,8 @@ class TestWilcoxon:
             b = wilcoxon_signed_rank(y, x)
             assert a.p_value == b.p_value
             assert a.w_statistic == b.w_statistic
+            assert (a.w_plus, a.w_minus) == (b.w_minus, b.w_plus)
+            assert a.w_statistic == min(a.w_plus, a.w_minus)
 
     def test_oracle_bit_for_bit(self):
         rng = np.random.default_rng(32)
