@@ -40,6 +40,7 @@ from unanimity.metrics import (
 from unanimity.uir import (
     RelationOutcome,
     UirResult,
+    best_rival,
     pairwise_uir_matrix,
     reference_system,
     robust_set_f,
@@ -98,6 +99,7 @@ __all__ = [
     "baseline_one_in_one",
     "bcubed_precision",
     "bcubed_recall",
+    "best_rival",
     "categorize_improvement",
     "cluster_precision",
     "f_measure",

@@ -38,7 +38,8 @@ def _fmt(value: float) -> str:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops the byte order mark that spreadsheet exports write.
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_table(path: str, percent: bool) -> ScoreTable:

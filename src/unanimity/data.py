@@ -1,17 +1,19 @@
 """Domain types and file formats for clustering evaluation.
 
 Clusterings and gold standards are labeled families of item sets read from
-TSV membership files.  Score tables hold per-test-case metric vectors for a
-set of systems and are the input to every comparison operation in this
-package.
+TSV membership files.  Score tables hold one column of per-test-case scores
+for each (system, metric) and are the input to every comparison operation
+in this package.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+import itertools
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 
 class ParseError(ValueError):
@@ -59,7 +61,7 @@ class Clustering:
             frozen[label] = members
         object.__setattr__(self, "clusters", frozen)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Total membership count (sum of cluster sizes).
 
@@ -72,12 +74,9 @@ class Clustering:
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.clusters))
 
-    @property
+    @cached_property
     def items(self) -> frozenset[str]:
-        out: set[str] = set()
-        for members in self.clusters.values():
-            out |= members
-        return frozenset(out)
+        return frozenset().union(*self.clusters.values())
 
     @property
     def overlapping(self) -> bool:
@@ -210,28 +209,75 @@ class MetricVector:
         return tuple(self.scores.values())
 
 
-@dataclass(frozen=True)
+Column = tuple[float, ...]
+
+
+def _build_columns(
+    rows: Iterable[tuple[int | None, str, str, str, float]],
+    error: Callable[[str, int | None], ValueError] = lambda msg, line: ValidationError(msg),
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], dict[tuple[str, str], Column]]:
+    """Index ``(line, case, system, metric, value)`` rows into dense columns.
+
+    The one validated builder behind every way of making a ``ScoreTable``.
+    Cases, systems and metrics keep first-appearance order.  An empty name,
+    a score outside [0, 1], a duplicate and a missing score are raised as
+    ``error(message, line)``.  Returns (cases, systems, metrics, columns),
+    with one tuple of scores in case order per (system, metric).
+    """
+    cases: dict[str, None] = {}
+    systems: dict[str, None] = {}
+    metrics: dict[str, None] = {}
+    scores: dict[tuple[str, str, str], float] = {}
+    for line, case, system, metric, value in rows:
+        if not case or not system or not metric:
+            raise error("empty test_case, system or metric field", line)
+        value = float(value)
+        if not 0.0 <= value <= 1.0:
+            raise error(f"score {value} outside [0, 1] for ({case}, {system}, {metric})", line)
+        key = (case, system, metric)
+        if key in scores:
+            raise error(f"duplicate score for ({case}, {system}, {metric})", line)
+        scores[key] = value
+        cases[case] = systems[system] = metrics[metric] = None
+    if not scores:
+        raise error("no scores", None)
+    # Duplicates are rejected above, so a short count means a missing score.
+    if len(scores) != len(cases) * len(systems) * len(metrics):
+        missing = next(k for k in itertools.product(cases, systems, metrics) if k not in scores)
+        raise error("missing score for ({}, {}, {})".format(*missing), None)
+    columns = {(s, m): tuple([scores[c, s, m] for c in cases]) for s in systems for m in metrics}
+    return tuple(cases), tuple(systems), tuple(metrics), columns
+
+
+@dataclass(frozen=True, init=False)
 class ScoreTable:
-    """Dense (test case x system) table of metric vectors for one collection."""
+    """Dense (test case x system x metric) score table for one collection.
+
+    Scores are stored once, one tuple per (system, metric) column in case
+    order; a cell's ``MetricVector`` is built only when ``cell()`` asks for
+    it.  The constructor takes one metric vector per (case, system) cell.
+    """
 
     collection_id: str
     cases: tuple[str, ...]
     systems: tuple[str, ...]
-    cells: Mapping[tuple[str, str], MetricVector]
+    metric_names: tuple[str, ...]
+    _columns: Mapping[tuple[str, str], Column] = field(repr=False)
+    _case_index: Mapping[str, int] = field(repr=False, compare=False)
+    _system_set: frozenset[str] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        cases = tuple(self.cases)
-        systems = tuple(self.systems)
-        if not cases:
-            raise ValidationError("score table has no test cases")
-        if not systems:
-            raise ValidationError("score table has no systems")
-        if len(set(cases)) != len(cases):
-            raise ValidationError("duplicate test case ids")
-        if len(set(systems)) != len(systems):
-            raise ValidationError("duplicate system ids")
-        cells = dict(self.cells)
+    def __init__(
+        self,
+        collection_id: str,
+        cases: Sequence[str],
+        systems: Sequence[str],
+        cells: Mapping[tuple[str, str], MetricVector],
+    ):
+        cases, systems = tuple(cases), tuple(systems)
+        if len(set(cases)) != len(cases) or len(set(systems)) != len(systems):
+            raise ValidationError("duplicate test case or system ids")
         names: tuple[str, ...] | None = None
+        rows = []
         for case in cases:
             for system in systems:
                 vector = cells.get((case, system))
@@ -244,11 +290,22 @@ class ScoreTable:
                         f"metric names differ in cell ({case}, {system}): "
                         f"{vector.names} vs {names}"
                     )
+                rows += [(None, case, system, *score) for score in vector.scores.items()]
         if len(cells) != len(cases) * len(systems):
             raise ValidationError("score table has cells outside cases x systems")
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "systems", systems)
-        object.__setattr__(self, "cells", cells)
+        self._set(collection_id, *_build_columns(rows))
+
+    def _set(self, collection_id, cases, systems, metric_names, columns) -> None:
+        index = {case: i for i, case in enumerate(cases)}
+        values = (collection_id, cases, systems, metric_names, columns, index, frozenset(systems))
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @classmethod
+    def _of(cls, collection_id, cases, systems, metric_names, columns) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table._set(collection_id, cases, systems, metric_names, columns)
+        return table
 
     @classmethod
     def from_rows(
@@ -256,60 +313,36 @@ class ScoreTable:
         collection_id: str,
         rows: Iterable[tuple[str, str, str, float]],
     ) -> "ScoreTable":
-        """Build a table from (case, system, metric, value) tuples.
-
-        Cases, systems and metric names keep first-appearance order.
-        """
-        cases: list[str] = []
-        systems: list[str] = []
-        metrics: list[str] = []
-        raw: dict[tuple[str, str], dict[str, float]] = {}
-        for case, system, metric, value in rows:
-            if case not in cases:
-                cases.append(case)
-            if system not in systems:
-                systems.append(system)
-            if metric not in metrics:
-                metrics.append(metric)
-            raw.setdefault((case, system), {})[metric] = value
-        cells = {
-            key: MetricVector({m: scores[m] for m in metrics if m in scores})
-            for key, scores in raw.items()
-        }
-        return cls(collection_id, tuple(cases), tuple(systems), cells)
-
-    @property
-    def metric_names(self) -> tuple[str, ...]:
-        return self.cells[(self.cases[0], self.systems[0])].names
+        """Build a table from (case, system, metric, value) tuples, in
+        first-appearance order.  A duplicate, missing or out-of-range score
+        raises ``ValidationError``."""
+        return cls._of(collection_id, *_build_columns((None, *row) for row in rows))
 
     def cell(self, case: str, system: str) -> MetricVector:
-        try:
-            return self.cells[(case, system)]
-        except KeyError:
-            raise ValueError(f"unknown cell ({case}, {system})") from None
+        i = self._case_index.get(case)
+        if i is None or system not in self._system_set:
+            raise ValueError(f"unknown cell ({case}, {system})")
+        return MetricVector({m: self._columns[system, m][i] for m in self.metric_names})
 
     def check_system(self, system: str) -> None:
-        if system not in self.systems:
+        if system not in self._system_set:
             raise ValueError(f"unknown system {system!r}")
 
-    def scores_for(self, system: str, metric: str) -> tuple[float, ...]:
+    def scores_for(self, system: str, metric: str) -> Column:
         """Per-case scores of one system on one metric, in case order."""
         self.check_system(system)
         if metric not in self.metric_names:
             raise ValueError(f"unknown metric {metric!r}")
-        return tuple(self.cells[(case, system)][metric] for case in self.cases)
+        return self._columns[system, metric]
 
     def select_metrics(self, names: Sequence[str]) -> "ScoreTable":
-        """Project every cell onto the given metric names, in the given order."""
-        names = tuple(names)
-        for name in names:
-            if name not in self.metric_names:
-                raise ValueError(f"unknown metric {name!r}")
-        cells = {
-            key: MetricVector({name: vector[name] for name in names})
-            for key, vector in self.cells.items()
-        }
-        return ScoreTable(self.collection_id, self.cases, self.systems, cells)
+        """The same table restricted to the given metric names, in the given
+        order; the score columns are shared, not copied."""
+        names = tuple(dict.fromkeys(names))
+        if not names:
+            raise ValueError("no metrics selected")
+        columns = {(s, m): self.scores_for(s, m) for s in self.systems for m in names}
+        return ScoreTable._of(self.collection_id, self.cases, self.systems, names, columns)
 
 
 SCORE_HEADER = ("test_case", "system", "metric", "score")
@@ -326,63 +359,31 @@ def parse_score_table(
     With ``percent=True`` scores are divided by 100 on ingest.  Scores outside
     [0, 1] after rescaling are rejected.
     """
-    lines = _read_lines(source)
-    rows = list(csv.reader(lines))
-    if not rows:
+    rows = csv.reader(_read_lines(source))
+    header = next(rows, None)
+    if header is None:
         raise ParseError("empty score file")
-    header = tuple(field.strip() for field in rows[0])
+    header = tuple(part.strip() for part in header)
     if header != SCORE_HEADER:
         raise ParseError(
             f"expected header {','.join(SCORE_HEADER)}, got {','.join(header)}",
             line=1,
         )
-    cases: list[str] = []
-    systems: list[str] = []
-    metrics: list[str] = []
-    raw: dict[tuple[str, str], dict[str, float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        case, system, metric, text = (field.strip() for field in row)
-        if not case or not system or not metric:
-            raise ParseError("empty test_case, system or metric field", line=lineno)
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"bad score {text!r}", line=lineno) from None
-        if percent:
-            value /= 100.0
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(
-                f"score {value} outside [0, 1] for ({case}, {system}, {metric})",
-                line=lineno,
-            )
-        if case not in cases:
-            cases.append(case)
-        if system not in systems:
-            systems.append(system)
-        if metric not in metrics:
-            metrics.append(metric)
-        cell = raw.setdefault((case, system), {})
-        if metric in cell:
-            raise ParseError(
-                f"duplicate score for ({case}, {system}, {metric})", line=lineno
-            )
-        cell[metric] = value
-    if not raw:
-        raise ParseError("no scores")
-    for case in cases:
-        for system in systems:
-            got = raw.get((case, system), {})
-            for metric in metrics:
-                if metric not in got:
-                    raise ParseError(f"missing score for ({case}, {system}, {metric})")
-    cells = {
-        key: MetricVector({m: scores[m] for m in metrics}) for key, scores in raw.items()
-    }
-    return ScoreTable(collection_id, tuple(cases), tuple(systems), cells)
+
+    def scores():
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+            case, system, metric, text = (part.strip() for part in row)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"bad score {text!r}", line=lineno) from None
+            yield lineno, case, system, metric, value / 100.0 if percent else value
+
+    return ScoreTable._of(collection_id, *_build_columns(scores(), ParseError))
 
 
 def serialize_score_table(table: ScoreTable) -> str:
@@ -390,9 +391,8 @@ def serialize_score_table(table: ScoreTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCORE_HEADER)
-    for case in table.cases:
+    for i, case in enumerate(table.cases):
         for system in table.systems:
-            vector = table.cells[(case, system)]
-            for name in vector.names:
-                writer.writerow([case, system, name, repr(vector[name])])
+            for name in table.metric_names:
+                writer.writerow([case, system, name, repr(table.scores_for(system, name)[i])])
     return buf.getvalue()

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt
 from typing import Mapping, Sequence
 
 from unanimity.data import ScoreTable
-from unanimity.metrics import MetricPair, mean_f_measure, metric_pair_columns
+from unanimity.metrics import MetricPair, _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, categorize_improvement, parametric_uir
 from unanimity.uir import pairwise_uir_matrix
 
@@ -60,18 +61,14 @@ def alpha_sweep(
         systems = table.systems
     else:
         systems = tuple(systems)
-        for system in systems:
-            table.check_system(system)
         if not systems:
             raise ValueError("no systems selected")
     p_col, r_col = metric_pair_columns(table, pair)
-    if table.metric_names != (p_col, r_col):
-        table = table.select_metrics((p_col, r_col))
     curves: dict[str, tuple[float, ...]] = {}
     for system in systems:
-        curves[system] = tuple(
-            mean_f_measure(table, system, alpha) for alpha in grid
-        )
+        precision = table.scores_for(system, p_col)
+        recall = table.scores_for(system, r_col)
+        curves[system] = tuple(_mean_f(precision, recall, alpha) for alpha in grid)
     return AlphaSweep(grid, curves)
 
 
@@ -123,12 +120,9 @@ def threshold_sweep(
             category = categorize_improvement(table, a, b, significance_level)
             categories[(a, b)] = category
             categories[(b, a)] = category
-    sweep = alpha_sweep(table, alpha_grid())
+    curves = alpha_sweep(table, alpha_grid()).curves
+    all_alpha_wins = {(a, b): all(map(gt, curves[a], curves[b])) for a, b in pairs}
     means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
-
-    def improves_all_alpha(a: str, b: str) -> bool:
-        ca, cb = sweep.curves[a], sweep.curves[b]
-        return all(fa > fb for fa, fb in zip(ca, cb))
 
     rows = []
     for t in grid:
@@ -143,7 +137,7 @@ def threshold_sweep(
                 categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT
                 for p in accepted
             ) / k
-            all_alpha = sum(improves_all_alpha(a, b) for a, b in accepted) / k
+            all_alpha = sum(all_alpha_wins[p] for p in accepted) / k
             f05 = sum(means[a] - means[b] > 0.0 for a, b in accepted) / k
         else:
             concordant = opposite = all_alpha = f05 = 0.0

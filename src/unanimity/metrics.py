@@ -10,7 +10,7 @@ clusterings.  All metrics land in [0, 1].
 from __future__ import annotations
 
 from enum import Enum
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 from unanimity.data import (
     Clustering,
@@ -76,20 +76,22 @@ def _single_assignment(clustering: Clustering, role: str) -> dict[str, frozenset
     return assign
 
 
-def _check_bcubed_items(
-    sys_assign: dict[str, frozenset[str]], gold_assign: dict[str, frozenset[str]]
-) -> None:
-    extra = sorted(set(sys_assign) - set(gold_assign))
+def _bcubed_assignments(
+    system: Clustering, gold: GoldStandard
+) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    """Item -> cluster maps of both sides; every system item must be in gold."""
+    _check_nonempty(system, gold)
+    sys_assign = _single_assignment(system, "clustering")
+    gold_assign = _single_assignment(gold, "gold standard")
+    extra = sorted(system.items - gold.items)
     if extra:
         raise ValidationError("system items absent from gold: " + " ".join(extra))
+    return sys_assign, gold_assign
 
 
 def bcubed_precision(system: Clustering, gold: GoldStandard) -> float:
     """Mean over clustered items of the in-cluster same-category fraction."""
-    _check_nonempty(system, gold)
-    sys_assign = _single_assignment(system, "clustering")
-    gold_assign = _single_assignment(gold, "gold standard")
-    _check_bcubed_items(sys_assign, gold_assign)
+    sys_assign, gold_assign = _bcubed_assignments(system, gold)
     total = 0.0
     for item in sorted(sys_assign):
         cluster = sys_assign[item]
@@ -102,10 +104,7 @@ def bcubed_recall(system: Clustering, gold: GoldStandard) -> float:
 
     Gold items the system never clustered contribute zero.
     """
-    _check_nonempty(system, gold)
-    sys_assign = _single_assignment(system, "clustering")
-    gold_assign = _single_assignment(gold, "gold standard")
-    _check_bcubed_items(sys_assign, gold_assign)
+    sys_assign, gold_assign = _bcubed_assignments(system, gold)
     total = 0.0
     for item in sorted(gold_assign):
         category = gold_assign[item]
@@ -223,6 +222,22 @@ def metric_pair_columns(
     return names
 
 
+def _mean_f(precision: Sequence[float], recall: Sequence[float], alpha: float) -> float:
+    """Mean ``f_measure`` over paired score columns: the same per-case values,
+    summed left to right, as callers compare the results with ``==``."""
+    _check_alpha(alpha)
+    total = 0.0
+    if alpha == 0.0 or alpha == 1.0:
+        for value in recall if alpha == 0.0 else precision:
+            total += value
+    else:
+        beta = 1.0 - alpha
+        for p, r in zip(precision, recall):
+            if p and r:  # else F is 0, and adding 0.0 changes nothing
+                total += 1.0 / (alpha / p + beta / r)
+    return total / len(precision)
+
+
 def mean_f_measure(
     table: ScoreTable,
     system: str,
@@ -231,9 +246,4 @@ def mean_f_measure(
 ) -> float:
     """Mean over test cases of the per-case F of one system."""
     p_col, r_col = metric_pair_columns(table, pair)
-    table.check_system(system)
-    total = 0.0
-    for case in table.cases:
-        vector = table.cells[(case, system)]
-        total += f_measure(vector[p_col], vector[r_col], alpha)
-    return total / len(table.cases)
+    return _mean_f(table.scores_for(system, p_col), table.scores_for(system, r_col), alpha)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import MetricPair, mean_f_measure
-from unanimity.uir import _reference_from_matrix, pairwise_uir_matrix
+from unanimity.uir import best_rival, pairwise_uir_matrix
 
 # A rival winning on at least 90% of cases net suggests the system behaves
 # like a dominated baseline.
@@ -54,7 +54,9 @@ def render_ranking_report(
                 if other != system and matrix[(system, other)].value > uir_threshold
             )
         )
-        reference = _reference_from_matrix(matrix, table.systems, system, 0.0)
+        reference = best_rival(
+            {other: matrix[(other, system)].value for other in table.systems if other != system}
+        )
         if reference is None:
             ref_id, ref_value = None, None
             near = False

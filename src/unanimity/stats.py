@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from typing import TYPE_CHECKING
 
 from unanimity.data import ScoreTable
@@ -170,8 +171,6 @@ def categorize_improvement(
         raise ValueError(
             f"improvement categories need exactly 2 metrics, table has {len(names)}"
         )
-    table.check_system(sys_a)
-    table.check_system(sys_b)
     directions = []
     for name in names:
         x = table.scores_for(sys_a, name)
@@ -363,12 +362,7 @@ def parametric_uir(
     fitted difference, which mirrors the mean and keeps the covariance.
     """
     p_col, r_col = metric_pair_columns(table, pair)
-    table.check_system(sys_a)
-    table.check_system(sys_b)
-    deltas = []
-    for case in table.cases:
-        va = table.cells[(case, sys_a)]
-        vb = table.cells[(case, sys_b)]
-        deltas.append((va[p_col] - vb[p_col], va[r_col] - vb[r_col]))
-    model = fit_bivariate_normal(deltas)
+    delta_p = map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col))
+    delta_r = map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col))
+    model = fit_bivariate_normal(list(zip(delta_p, delta_r)))
     return orthant_probability(model) - orthant_probability(model.mirrored())

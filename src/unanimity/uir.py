@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import and_, ge, le
+from typing import Mapping, Sequence
 
-from unanimity.data import MetricVector, ScoreTable
+from unanimity.data import Column, MetricVector, ScoreTable
 from unanimity.metrics import MetricPair, mean_f_measure
 
 
@@ -70,28 +72,29 @@ class UirResult:
         )
 
 
+def _columns(table: ScoreTable, system: str) -> list[Column]:
+    return [table.scores_for(system, name) for name in table.metric_names]
+
+
+def _uir(cols_a: Sequence[Column], cols_b: Sequence[Column]) -> UirResult:
+    """UIR from two systems' score columns: a case counts for a when a >= b
+    on every metric, for b when b >= a on every metric, for both on a tie."""
+    n_total = len(cols_a[0])
+    a_geq = b_geq = [True] * n_total
+    for col_a, col_b in zip(cols_a, cols_b):
+        a_geq = list(map(and_, a_geq, map(ge, col_a, col_b)))
+        b_geq = list(map(and_, b_geq, map(le, col_a, col_b)))
+    n_a = sum(a_geq)
+    n_b = sum(b_geq)
+    n_inc = n_total - n_a - n_b + sum(map(and_, a_geq, b_geq))
+    return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
+
+
 def unanimous_improvement_ratio(
     table: ScoreTable, sys_a: str, sys_b: str
 ) -> UirResult:
     """Aggregate per-case unanimous comparisons of two systems over a collection."""
-    table.check_system(sys_a)
-    table.check_system(sys_b)
-    n_a = n_b = n_inc = 0
-    for case in table.cases:
-        outcome = unanimous_compare(
-            table.cells[(case, sys_a)], table.cells[(case, sys_b)]
-        )
-        if outcome is RelationOutcome.EQUAL:
-            n_a += 1
-            n_b += 1
-        elif outcome is RelationOutcome.A_OVER_B:
-            n_a += 1
-        elif outcome is RelationOutcome.B_OVER_A:
-            n_b += 1
-        else:
-            n_inc += 1
-    n_total = len(table.cases)
-    return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
+    return _uir(_columns(table, sys_a), _columns(table, sys_b))
 
 
 def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
@@ -99,33 +102,26 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
     antisymmetry of the ratio holds exactly by construction."""
     matrix: dict[tuple[str, str], UirResult] = {}
     systems = table.systems
+    columns = {system: _columns(table, system) for system in systems}
     for i, sys_a in enumerate(systems):
         for sys_b in systems[i + 1 :]:
-            result = unanimous_improvement_ratio(table, sys_a, sys_b)
+            result = _uir(columns[sys_a], columns[sys_b])
             matrix[(sys_a, sys_b)] = result
             matrix[(sys_b, sys_a)] = result.reversed()
     return matrix
 
 
-def _reference_from_matrix(
-    matrix: dict[tuple[str, str], UirResult],
-    systems: tuple[str, ...],
-    system: str,
-    threshold: float,
+def best_rival(
+    uir_over: Mapping[str, float], threshold: float = 0.0
 ) -> tuple[str, float] | None:
-    best_id: str | None = None
-    best_value = threshold
-    # Lexicographic candidate order makes ties resolve to the smallest id.
-    for other in sorted(systems):
-        if other == system:
-            continue
-        value = matrix[(other, system)].value
-        if value > best_value:
-            best_id = other
-            best_value = value
-    if best_id is None:
+    """The rival with the highest UIR over a system, given ``{rival:
+    UIR(rival, system)}``, as ``(rival_id, uir_value)``; None unless that
+    value exceeds the threshold.  Ties pick the smallest id."""
+    # max keeps the first of equal values, so sorting first breaks ties.
+    best = max(sorted(uir_over), key=uir_over.__getitem__, default=None)
+    if best is None or uir_over[best] <= threshold:
         return None
-    return best_id, best_value
+    return best, uir_over[best]
 
 
 def reference_system(
@@ -136,10 +132,9 @@ def reference_system(
     Returns ``(rival_id, uir_value)`` maximizing UIR(rival, system), or None
     when no rival exceeds the threshold.  Ties pick the smallest id.
     """
-    table.check_system(system)
-    return _reference_from_matrix(
-        pairwise_uir_matrix(table), table.systems, system, threshold
-    )
+    own = _columns(table, system)
+    others = (other for other in table.systems if other != system)
+    return best_rival({o: _uir(_columns(table, o), own).value for o in others}, threshold)
 
 
 def robust_set_uir(table: ScoreTable, threshold: float) -> set[tuple[str, str]]:

@@ -262,6 +262,47 @@ class TestPredict:
         assert "among the collections" in capsys.readouterr().err
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark, as spreadsheet exports write it, is ignored."""
+
+    def twins(self, tmp_path, name, text):
+        paths = []
+        for folder, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / folder / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(prefix + text, encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def outputs(self, capsys, *argvs):
+        results = []
+        for argv in argvs:
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            results.append((captured.out, captured.err))
+        return results
+
+    def test_rank_score_csv(self, tmp_path, capsys):
+        text = serialize_score_table(two_system_table())
+        plain, bom = self.twins(tmp_path, "demo.csv", text)
+        first, second = self.outputs(
+            capsys, ["rank", "--scores", plain], ["rank", "--scores", bom]
+        )
+        assert first == second
+
+    def test_eval_gold_label(self, tmp_path, capsys):
+        plain_gold, bom_gold = self.twins(tmp_path, "gold.tsv", "g1\tx\ng1\ty\n")
+        plain_sys, bom_sys = self.twins(tmp_path, "sys.tsv", "c1\tx\nc2\ty\n")
+        first, second = self.outputs(
+            capsys,
+            ["eval", "--gold", plain_gold, "--system", plain_sys],
+            ["eval", "--gold", bom_gold, "--system", bom_sys],
+        )
+        assert first == second
+        # One category: inverse purity is 1/2, not the 1 of two categories.
+        assert "gold,sys,inverse_purity,0.500000" in first[0]
+
+
 class TestParserBasics:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

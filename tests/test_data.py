@@ -27,6 +27,12 @@ class TestClustering:
         assert c.labels == ("x", "y")
         assert not c.overlapping
 
+    def test_size_and_items_computed_once(self):
+        c = Clustering({"x": {"a", "b"}, "y": {"a"}})
+        assert c.items is c.items
+        assert (c.n, c.items) == (3, {"a", "b"})
+        assert c == Clustering({"y": {"a"}, "x": {"b", "a"}})
+
     def test_overlap_counts_memberships(self):
         c = Clustering({"x": {"a", "b"}, "y": {"a"}})
         assert c.n == 3
@@ -226,6 +232,27 @@ class TestScoreTable:
                     ("x", "t"): MetricVector({"q": 0.5}),
                 },
             )
+
+    def test_from_rows_rejects_duplicate(self):
+        rows = [("c", "s", "p", 0.2), ("c", "s", "p", 0.9)]
+        with pytest.raises(ValidationError, match=r"duplicate score for \(c, s, p\)"):
+            ScoreTable.from_rows("x", rows)
+
+    def test_from_rows_rejects_missing_and_out_of_range(self):
+        with pytest.raises(ValidationError, match=r"missing score for \(c2, s, r\)"):
+            ScoreTable.from_rows("x", [("c1", "s", "p", 0.2), ("c1", "s", "r", 0.2), ("c2", "s", "p", 0.2)])
+        with pytest.raises(ValidationError, match="outside"):
+            ScoreTable.from_rows("x", [("c", "s", "p", 1.5)])
+
+    def test_constructor_equals_from_rows(self):
+        cells = {
+            ("x", "s"): MetricVector({"p": 0.5, "r": 0.25}),
+            ("x", "t"): MetricVector({"p": 1.0, "r": 0.0}),
+        }
+        built = ScoreTable("c", ("x",), ("s", "t"), cells)
+        rows = [(c, s, m, v) for (c, s), vec in cells.items() for m, v in vec.scores.items()]
+        assert built == ScoreTable.from_rows("c", rows)
+        assert built.cell("x", "t") == cells[("x", "t")]
 
     def test_select_metrics_projects_and_orders(self):
         t = parse_score_table(SCORES_CSV)
