@@ -212,13 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    def add_table_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scores", required=True, help="score CSV file")
+    def add_percent(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--percent",
             action="store_true",
             help="scores are percentages; divide by 100 on ingest",
         )
+
+    def add_table_input(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scores", required=True, help="score CSV file")
+        add_percent(p)
 
     p = sub.add_parser("eval", help="score system clusterings against a gold standard")
     p.add_argument("--system", action="append", required=True, help="system TSV file (repeatable)")
@@ -273,11 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--collections", nargs="+", required=True, help="all collection CSVs"
     )
-    p.add_argument(
-        "--percent",
-        action="store_true",
-        help="scores are percentages; divide by 100 on ingest",
-    )
+    add_percent(p)
     p.add_argument("--grid", default="-1:1:0.05", help="start:stop:step (default -1:1:0.05)")
     p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
     add_common(p)

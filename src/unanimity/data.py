@@ -31,10 +31,10 @@ class ValidationError(ValueError):
 
 
 def _check_item(token: str) -> None:
-    if not token:
-        raise ValueError("empty item id")
-    if any(ch.isspace() for ch in token):
-        raise ValueError(f"item id contains whitespace: {token!r}")
+    # One pass: split() breaks on exactly the characters isspace() accepts,
+    # and gives [] for the empty string.
+    if token.split() != [token]:
+        raise ValueError(f"item id contains whitespace: {token!r}" if token else "empty item id")
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,13 @@ class Clustering:
             frozen[label] = members
         object.__setattr__(self, "clusters", frozen)
 
+    @classmethod
+    def _of(cls, clusters: dict[str, frozenset[str]]) -> "Clustering":
+        """Wrap clusters whose labels and items the caller has already checked."""
+        clustering = cls.__new__(cls)
+        object.__setattr__(clustering, "clusters", clusters)
+        return clustering
+
     @cached_property
     def n(self) -> int:
         """Total membership count (sum of cluster sizes).
@@ -70,7 +77,7 @@ class Clustering:
         """
         return sum(len(members) for members in self.clusters.values())
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.clusters))
 
@@ -121,7 +128,10 @@ def parse_clustering(source: str | TextIO) -> Clustering:
         members.add(item)
     if not memberships:
         raise ParseError("no clusters")
-    return Clustering({label: frozenset(m) for label, m in memberships.items()})
+    # Freeze in place, so each parse-time set is freed as soon as it is copied.
+    for label, members in memberships.items():
+        memberships[label] = frozenset(members)
+    return Clustering._of(memberships)
 
 
 def serialize_clustering(clustering: Clustering) -> str:

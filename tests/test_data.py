@@ -33,6 +33,11 @@ class TestClustering:
         assert (c.n, c.items) == (3, {"a", "b"})
         assert c == Clustering({"y": {"a"}, "x": {"b", "a"}})
 
+    def test_labels_sorted_once(self):
+        c = Clustering({"y": {"a"}, "x": {"b"}})
+        assert c.labels == ("x", "y")
+        assert c.labels is c.labels
+
     def test_overlap_counts_memberships(self):
         c = Clustering({"x": {"a", "b"}, "y": {"a"}})
         assert c.n == 3
@@ -81,6 +86,23 @@ class TestParseClustering:
     def test_same_item_two_clusters_ok(self):
         c = parse_clustering("c1\ta\nc2\ta\n")
         assert c.overlapping
+
+    # Unicode whitespace that ASCII-only checks miss; U+001C, U+0085 and
+    # U+2028 also end a line for str.splitlines().
+    ODD_ITEMS = ["a\x1cb", "a\x85b", "a\xa0b", "a\u2028b", "a\u3000b", "\xa0", ""]
+
+    @pytest.mark.parametrize("item", ODD_ITEMS)
+    def test_whitespace_or_empty_item_rejected_on_parse_and_construct(self, item):
+        with pytest.raises(ParseError) as info:
+            parse_clustering(f"c1\tok\nc1\t{item}\n")
+        assert info.value.line is not None and info.value.line >= 2
+        with pytest.raises(ValueError, match="whitespace|empty item id"):
+            Clustering({"c1": {"ok", item}})
+
+    def test_parsed_clusters_are_frozensets(self):
+        c = parse_clustering("c2\tb\nc1\ta\nc1\tc\n")
+        assert all(type(m) is frozenset for m in c.clusters.values())
+        assert c == Clustering({"c1": {"c", "a"}, "c2": {"b"}})
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="no clusters"):
