@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from unanimity.stats import categorize_improvement, parametric_uir
 from unanimity.uir import unanimous_improvement_ratio
 
 MAX_GRID_POINTS = 100_000
+
+# Options that name files the command reads; --output may name none of them.
+INPUT_OPTIONS = ("system", "gold", "scores", "reference", "collections")
 
 
 def _fmt(value: float) -> str:
@@ -295,18 +299,50 @@ def _error_category(exc: Exception) -> str:
     return "invalid"
 
 
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse an --output that is one of the command's input files."""
+    output = Path(args.output)
+    for name in INPUT_OPTIONS:
+        value = getattr(args, name, None)
+        for path in [value] if isinstance(value, str) else value or ():
+            same = Path(path).resolve() == output.resolve() or (
+                output.exists() and Path(path).exists() and os.path.samefile(path, output)
+            )
+            if same:
+                raise ValueError(f"--output {args.output} is also an input file")
+
+
+def _write_output(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` in one step, through a temporary file in
+    the same directory: a failed write leaves no truncated report."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args)
         text = args.handler(args)
+        if args.output:
+            _write_output(Path(args.output), text)
     except (ValueError, OSError) as exc:
         detail = " ".join(str(exc).split())
         print(f"error: {_error_category(exc)}: {detail}", file=sys.stderr)
         return 1
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return 0
 

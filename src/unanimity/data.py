@@ -94,9 +94,17 @@ GoldStandard = Clustering
 
 
 def _read_lines(source: str | TextIO) -> list[str]:
-    # splitlines() swallows CRLF as well as LF endings.
+    """Lines ended by LF or CRLF, without their ends.
+
+    ``str.splitlines()`` would also end a line at form feeds, separators
+    such as U+001C and U+2028, and NEL; those stay inside the line, so that
+    line numbers match the file's.
+    """
     text = source if isinstance(source, str) else source.read()
-    return text.splitlines()
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def parse_clustering(source: str | TextIO) -> Clustering:

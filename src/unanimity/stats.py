@@ -7,26 +7,26 @@ p-value comes from the exact distribution of the rank sum over all sign
 assignments.  The parametric estimate fits a bivariate normal to per-case
 score differences and integrates it over the positive and negative
 quadrants with deterministic Gauss-Legendre quadrature.
+
+Everything here is plain Python: the inputs are small (tens of ranks, 2 x 2
+covariances, at most 20 quadrature nodes), and floats are accumulated in
+explicit loops so that their summation order is fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from operator import sub
-from typing import TYPE_CHECKING
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import MetricPair, metric_pair_columns
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that use it, so that commands
-# which never reach this module's statistics (eval, rank, alpha-sweep)
-# never pay its import.
 
 EXACT_CUTOFF = 20
 
@@ -60,63 +60,77 @@ def _ndtr(x: float) -> float:
     return 1.0 - y if z > 0.0 else y
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array, tied values sharing their mean rank."""
-    import numpy as np
+def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
+    """Tie-group sizes of the non-zero |x - y|, in ascending order of the
+    magnitude, and twice the rank sum W+ of the positive differences.
 
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], ordered.size]
-    ranks = np.empty(ordered.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
-def _signed_ranks(x, y):
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
+    Group sizes fix the average ranks: a group of ``size`` values after the
+    ``start`` smaller ones shares the rank (2 * start + size + 1) / 2.
+    Doubled rank sums are integers, so they are exact in any order.
+    """
+    try:
+        xs = list(map(float, x))
+        ys = list(map(float, y))
+    except TypeError:
+        raise ValueError("paired samples must be equal-length 1-d sequences") from None
+    if len(xs) != len(ys):
         raise ValueError("paired samples must be equal-length 1-d sequences")
-    if x.size == 0:
+    if not xs:
         raise ValueError("empty samples")
-    d = x - y
-    d = d[d != 0.0]
-    if d.size == 0:
-        return d, np.empty(0), 0.0, 0.0
-    ranks = _average_ranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
-    return d, ranks, w_plus, w_minus
+    d = list(map(sub, xs, ys))
+    magnitudes = Counter(map(abs, d))
+    magnitudes.pop(0.0, None)
+    positive = Counter(filter((0.0).__lt__, d))
+    sizes = []
+    w_plus2 = 0
+    end = 0
+    for value in sorted(magnitudes):
+        size = magnitudes[value]
+        start = end
+        end += size
+        w_plus2 += (start + end + 1) * positive.get(value, 0)
+        sizes.append(size)
+    return tuple(sizes), w_plus2
 
 
-def _exact_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
-    import numpy as np
+@functools.lru_cache(maxsize=1024)
+def _null_cumulative(sizes: tuple[int, ...]) -> array:
+    """Cumulative counts of the doubled rank sum over all 2^n sign
+    assignments, for sums 0 .. n(n+1)/2: the lower half of the exact null
+    distribution, which is symmetric.
 
-    # Average ranks are half-integers; double them onto an exact int lattice.
-    r2 = np.rint(ranks * 2.0).astype(np.int64)
-    total = int(r2.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in r2:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
-    w2 = int(np.rint(2.0 * w_min))
-    sums = np.arange(total + 1)
-    in_tail = np.minimum(sums, total - sums) <= min(w2, total - w2)
-    n_tail = int(counts[in_tail].sum())
-    return n_tail / (2 ** ranks.size)
+    The distribution is the coefficient list of the product of
+    (1 + z^r) over the doubled ranks r.  Each coefficient is below 2^63, so
+    the product runs on one integer with a 64-bit slot per power of z.
+    Cached per tie pattern; each entry holds at most 211 counts (n = 20).
+    """
+    n = sum(sizes)
+    total = n * (n + 1)
+    poly = 1
+    start = 0
+    for size in sizes:
+        shift = 64 * (2 * start + size + 1)
+        for _ in range(size):
+            poly += poly << shift
+        start += size
+    counts = array("q", poly.to_bytes(8 * (total + 1), "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return array("q", accumulate(counts[: total // 2 + 1]))
 
 
-def _approx_two_sided_p(d: np.ndarray, w_min: float, n: int) -> float:
-    import numpy as np
+def _exact_two_sided_p(sizes: tuple[int, ...], w2_min: int) -> float:
+    """P(min(W+, W-) <= w2_min / 2) over all sign assignments."""
+    n = sum(sizes)
+    if 2 * w2_min >= n * (n + 1):
+        return 1.0
+    # The two tails are disjoint and, by symmetry, equally heavy.
+    return 2 * _null_cumulative(sizes)[w2_min] / 2**n
 
+
+def _approx_two_sided_p(sizes: tuple[int, ...], w_min: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = float((tie_counts.astype(float) ** 3 - tie_counts).sum())
+    tie_term = float(sum(size**3 - size for size in sizes))
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     # w_min <= mean, so the continuity correction moves toward the mean.
     z = (w_min - mean + 0.5) / math.sqrt(var)
@@ -133,15 +147,17 @@ def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResu
     """
     if not 0.0 < significance_level < 1.0:
         raise ValueError(f"significance level {significance_level} outside (0, 1)")
-    d, ranks, w_plus, w_minus = _signed_ranks(x, y)
-    n = int(d.size)
+    sizes, w_plus2 = _rank_sums(x, y)
+    n = sum(sizes)
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 0, 1.0, False)
-    w = min(w_plus, w_minus)
+    w_minus2 = n * (n + 1) - w_plus2
+    w_plus = w_plus2 / 2
+    w_minus = w_minus2 / 2
     if n <= EXACT_CUTOFF:
-        p = _exact_two_sided_p(ranks, w)
+        p = _exact_two_sided_p(sizes, min(w_plus2, w_minus2))
     else:
-        p = _approx_two_sided_p(d, w, n)
+        p = _approx_two_sided_p(sizes, min(w_plus, w_minus), n)
     return WilcoxonResult(w_plus, w_minus, n, p, p < significance_level)
 
 
@@ -192,29 +208,34 @@ REGULARIZATION = 1e-9
 
 @dataclass(frozen=True)
 class BivariateNormalModel:
-    """Mean and covariance of per-case score differences on two metrics."""
+    """Mean and covariance of per-case score differences on two metrics.
 
-    mean: np.ndarray
-    covariance: np.ndarray
+    Takes any array-likes of shape (2,) and (2, 2) and stores them as
+    tuples of floats.
+    """
+
+    mean: tuple[float, float]
+    covariance: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        import numpy as np
-
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.shape != (2,) or cov.shape != (2, 2):
-            raise ValueError("model must be 2-dimensional")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-15):
+        try:
+            m0, m1 = map(float, self.mean)
+            (c00, c01), (c10, c11) = (map(float, row) for row in self.covariance)
+        except (TypeError, ValueError):
+            raise ValueError("model must be 2-dimensional") from None
+        # Each entry within 1e-15 of its transpose's, or equal to it (an
+        # infinity); a NaN is close to nothing.
+        if not (c01 == c10 or abs(c01 - c10) <= 1e-15) or math.isnan(c00) or math.isnan(c11):
             raise ValueError("covariance must be symmetric")
-        if cov[0, 0] < 0.0 or cov[1, 1] < 0.0:
+        if c00 < 0.0 or c11 < 0.0:
             raise ValueError("negative variance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "mean", (m0, m1))
+        object.__setattr__(self, "covariance", ((c00, c01), (c10, c11)))
 
     def mirrored(self) -> "BivariateNormalModel":
         """Same spread, negated mean: its positive quadrant is this model's
         negative one."""
-        return BivariateNormalModel(-self.mean, self.covariance)
+        return BivariateNormalModel((-self.mean[0], -self.mean[1]), self.covariance)
 
 
 def fit_bivariate_normal(deltas) -> BivariateNormalModel:
@@ -224,29 +245,76 @@ def fit_bivariate_normal(deltas) -> BivariateNormalModel:
     differences) get 1e-9 added to the diagonal so quadrant probabilities
     stay well defined.  Needs at least 3 samples.
     """
-    import numpy as np
-
-    arr = np.asarray(deltas, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+    try:
+        rows = [tuple(map(float, row)) for row in deltas]
+    except TypeError:
+        rows = []
+    if len(rows) < 3 or any(len(row) != 2 for row in rows):
         raise ValueError("insufficient samples for parametric UIR (need >= 3 pairs)")
-    mean = arr.mean(axis=0)
-    cov = np.cov(arr, rowvar=False, ddof=1)
-    cov = (cov + cov.T) / 2.0
-    if float(np.linalg.eigvalsh(cov)[0]) < REGULARIZATION:
-        cov = cov + REGULARIZATION * np.eye(2)
-    return BivariateNormalModel(mean, cov)
+    # Explicit loops fix the summation order: builtin sum() of floats
+    # compensates since Python 3.12.
+    n = len(rows)
+    mean_p = mean_r = 0.0
+    for p, r in rows:
+        mean_p += p
+        mean_r += r
+    mean_p /= n
+    mean_r /= n
+    c00 = c01 = c11 = 0.0
+    for p, r in rows:
+        dp = p - mean_p
+        dr = r - mean_r
+        c00 += dp * dp
+        c01 += dp * dr
+        c11 += dr * dr
+    scale = 1.0 / (n - 1)
+    c00 *= scale
+    c01 *= scale
+    c11 *= scale
+    smallest_eigenvalue = (c00 + c11) / 2.0 - math.hypot((c00 - c11) / 2.0, c01)
+    if smallest_eigenvalue < REGULARIZATION:
+        c00 += REGULARIZATION
+        c11 += REGULARIZATION
+    return BivariateNormalModel((mean_p, mean_r), ((c00, c01), (c01, c11)))
 
 
-@functools.cache
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
-    and returned read-only because every caller shares them."""
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+# Nodes and weights of the 6-, 12- and 20-point Gauss-Legendre rules on
+# [-1, 1], written as the exact doubles that the reference ``leggauss``
+# routine returns.
+_GAUSS_LEGENDRE = {
+    6: (
+        (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481387, 0.17132449237917027),
+    ),
+    12: (
+        (-0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+         -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+         0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+         0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+        (0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+         0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+         0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+         0.16007832854334642, 0.10693932599531907, 0.04717533638651141),
+    ),
+    20: (
+        (-0.993128599185095, -0.9639719272779138, -0.912234428251326,
+         -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+         -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+         -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+         0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+         0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+         0.9639719272779138, 0.993128599185095),
+        (0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+         0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+         0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+         0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+         0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+         0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+         0.040601429800386446, 0.017614007139150893),
+    ),
+}
 
 
 def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
@@ -258,8 +326,6 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     analytic singular part.  Absolute error is below 5e-16, far inside the
     1e-6 needed here; r = +-1 reduces to exact single-normal expressions.
     """
-    import numpy as np
-
     if math.isinf(dh) or math.isinf(dk):
         if dh == math.inf or dk == math.inf:
             return 0.0
@@ -275,8 +341,9 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
         nodes = 12
     else:
         nodes = 20
-    x, w = _legendre_rule(nodes)
-    x = 1.0 + x  # shift onto (0, 2); symmetry of the nodes covers both halves
+    # Each node is shifted onto (0, 2); symmetry of the nodes covers both
+    # halves of the interval.
+    rule_nodes, rule_weights = _GAUSS_LEGENDRE[nodes]
 
     tp = 2.0 * math.pi
     h = dh
@@ -286,8 +353,9 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     if abs(r) < 0.925:
         hs = (h * h + k * k) / 2.0
         asr = math.asin(r) / 2.0
-        sn = np.sin(asr * x)
-        bvn = float(np.exp((sn * hk - hs) / (1.0 - sn**2)) @ w)
+        for node, weight in zip(rule_nodes, rule_weights):
+            sn = math.sin(asr * (1.0 + node))
+            bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
         bvn = bvn * asr / tp + _ndtr(-h) * _ndtr(-k)
     else:
         if r < 0.0:
@@ -311,14 +379,18 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
                 sp = math.sqrt(tp) * _ndtr(-b / a)
                 bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
             a /= 2.0
-            xs = (a * x) ** 2
-            asr = -(bs / xs + hk) / 2.0
-            inside = asr > -100.0
-            xs = xs[inside]
-            sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
-            rs = np.sqrt(1.0 - xs)
-            ep = np.exp(-(hk / 2.0) * xs / (1.0 + rs) ** 2) / rs
-            bvn = float(a * ((np.exp(asr[inside]) * (sp - ep)) @ w[inside]) - bvn) / tp
+            integral = 0.0
+            for node, weight in zip(rule_nodes, rule_weights):
+                ax = a * (1.0 + node)
+                xs = ax * ax
+                asr = -(bs / xs + hk) / 2.0
+                if asr > -100.0:
+                    sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+                    rs = math.sqrt(1.0 - xs)
+                    rs1 = 1.0 + rs
+                    ep = math.exp(-(hk / 2.0) * xs / (rs1 * rs1)) / rs
+                    integral += math.exp(asr) * (sp - ep) * weight
+            bvn = (a * integral - bvn) / tp
         if r > 0.0:
             bvn += _ndtr(-max(h, k))
         elif h >= k:
@@ -336,8 +408,8 @@ def orthant_probability(model: BivariateNormalModel) -> float:
     """Mass of the model on the quadrant where both differences are >= 0."""
     mu = model.mean
     cov = model.covariance
-    s1 = math.sqrt(cov[0, 0])
-    s2 = math.sqrt(cov[1, 1])
+    s1 = math.sqrt(cov[0][0])
+    s2 = math.sqrt(cov[1][1])
     # Zero-variance coordinates degenerate to point masses at the mean.
     if s1 == 0.0 and s2 == 0.0:
         return 1.0 if mu[0] >= 0.0 and mu[1] >= 0.0 else 0.0
@@ -345,7 +417,7 @@ def orthant_probability(model: BivariateNormalModel) -> float:
         return _ndtr(mu[1] / s2) if mu[0] >= 0.0 else 0.0
     if s2 == 0.0:
         return _ndtr(mu[0] / s1) if mu[1] >= 0.0 else 0.0
-    rho = min(1.0, max(-1.0, cov[0, 1] / (s1 * s2)))
+    rho = min(1.0, max(-1.0, cov[0][1] / (s1 * s2)))
     return _bvn_upper_tail(-mu[0] / s1, -mu[1] / s2, rho)
 
 

@@ -13,7 +13,7 @@ import unanimity
 from unanimity.cli import MAX_GRID_POINTS, _parse_grid, main
 from unanimity.data import parse_score_table, serialize_score_table
 
-from conftest import two_system_table
+from conftest import make_table, two_system_table
 
 
 @pytest.fixture
@@ -159,6 +159,55 @@ class TestRank:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8").startswith("system,mean_f")
 
+    def test_output_in_missing_directory_is_io_error(self, scores_csv, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["rank", "--scores", scores_csv, "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: io:")
+        assert str(target) in captured.err
+        assert captured.out == ""
+
+    def test_output_naming_an_input_refused(self, scores_csv, tmp_path, capsys):
+        original = Path(scores_csv).read_bytes()
+        hard_link = tmp_path / "hard_link.csv"
+        os.link(scores_csv, hard_link)
+        symlink = tmp_path / "symlink.csv"
+        symlink.symlink_to(scores_csv)
+        spellings = [
+            scores_csv,
+            os.path.join(os.path.dirname(scores_csv), ".", os.path.basename(scores_csv)),
+            str(symlink),
+            str(hard_link),
+        ]
+        for output in spellings:
+            assert main(["rank", "--scores", scores_csv, "--output", output]) == 1
+            assert "is also an input file" in capsys.readouterr().err
+        assert Path(scores_csv).read_bytes() == original
+
+    def test_output_naming_any_input_of_predict_refused(self, collections, capsys):
+        original = Path(collections[2]).read_bytes()
+        argv = ["predict", "--reference", collections[0], "--collections", *collections]
+        assert main(argv + ["--output", collections[2]]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid:")
+        assert Path(collections[2]).read_bytes() == original
+
+    def test_output_replaces_through_temporary_file(self, scores_csv, tmp_path, capsys):
+        target = tmp_path / "report.csv"
+        target.write_text("old report\n", encoding="utf-8")
+        assert main(["rank", "--scores", scores_csv, "--output", str(target)]) == 0
+        assert target.read_text(encoding="utf-8").startswith("system,mean_f")
+        # A replace that fails (the target is a directory) leaves no
+        # temporary file behind.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(["rank", "--scores", scores_csv, "--output", str(folder)]) == 1
+        assert capsys.readouterr().err.startswith("error: io:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "demo.csv",
+            "folder",
+            "report.csv",
+        ]
+
 
 class TestSweeps:
     def test_alpha_sweep_default_grid(self, scores_csv, capsys):
@@ -205,30 +254,30 @@ class TestSweeps:
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
 
-class TestPredict:
-    @pytest.fixture
-    def collections(self, tmp_path):
-        from conftest import make_table
-
-        base = {
-            "x": [(0.9, 0.8), (0.85, 0.8), (0.9, 0.85)],
-            "y": [(0.6, 0.5), (0.65, 0.6), (0.6, 0.55)],
-            "z": [(0.3, 0.2), (0.35, 0.3), (0.3, 0.25)],
+@pytest.fixture
+def collections(tmp_path):
+    """Three score CSVs of the same three systems, shifted a little apart."""
+    base = {
+        "x": [(0.9, 0.8), (0.85, 0.8), (0.9, 0.85)],
+        "y": [(0.6, 0.5), (0.65, 0.6), (0.6, 0.55)],
+        "z": [(0.3, 0.2), (0.35, 0.3), (0.3, 0.25)],
+    }
+    paths = []
+    for i in range(3):
+        shifted = {
+            s: [(min(1.0, p + 0.01 * i), min(1.0, r + 0.01 * i)) for p, r in rows]
+            for s, rows in base.items()
         }
-        paths = []
-        for i in range(3):
-            shifted = {
-                s: [(min(1.0, p + 0.01 * i), min(1.0, r + 0.01 * i)) for p, r in rows]
-                for s, rows in base.items()
-            }
-            path = tmp_path / f"col{i}.csv"
-            path.write_text(
-                serialize_score_table(make_table(shifted, collection_id=f"col{i}")),
-                encoding="utf-8",
-            )
-            paths.append(str(path))
-        return paths
+        path = tmp_path / f"col{i}.csv"
+        path.write_text(
+            serialize_score_table(make_table(shifted, collection_id=f"col{i}")),
+            encoding="utf-8",
+        )
+        paths.append(str(path))
+    return paths
 
+
+class TestPredict:
     def test_curves(self, collections, capsys):
         code = main(
             [
@@ -340,9 +389,9 @@ print(json.dumps(state))
 """
 
 
-def test_heavy_imports_deferred(scores_csv, clustering_files, tmp_path):
-    """eval and rank never load numpy, no command loads scipy, and
-    ``import unanimity.cli`` still loads every submodule of the package."""
+def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_path):
+    """No command loads numpy or scipy, and ``import unanimity.cli`` still
+    loads every submodule of the package."""
     gold, sys_a, _ = clustering_files
     out = str(tmp_path / "out.txt")
     steps = [
@@ -352,6 +401,12 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, tmp_path):
             "compare",
             ["compare", "--scores", scores_csv, "--a", "A", "--b", "B",
              "--parametric", "--output", out],
+        ),
+        ("threshold-sweep", ["threshold-sweep", "--scores", scores_csv, "--output", out]),
+        (
+            "predict",
+            ["predict", "--reference", collections[0], "--collections", *collections,
+             "--output", out],
         ),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
@@ -369,4 +424,68 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, tmp_path):
     assert state["import"] == [False, False]
     assert state["eval"] == [False, False]
     assert state["rank"] == [False, False]
-    assert state["compare"] == [True, False]
+    assert state["compare"] == [False, False]
+    assert state["threshold-sweep"] == [False, False]
+    assert state["predict"] == [False, False]
+
+
+RUN_ALL_PROBE = """
+import contextlib, io, json, sys
+
+if sys.argv[1] == "block":
+    class BlockNumpy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" or name.startswith("numpy."):
+                raise ImportError(f"{name} is not importable here")
+            return None
+
+    sys.meta_path.insert(0, BlockNumpy())
+
+from unanimity.cli import main
+
+results = {}
+for name, argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+results["numpy loaded"] = "numpy" in sys.modules
+print(json.dumps(results))
+"""
+
+
+def test_all_commands_run_without_numpy(scores_csv, clustering_files, collections):
+    """With numpy unimportable, all six subcommands succeed and print the
+    same bytes as a normal run."""
+    gold, sys_a, sys_b = clustering_files
+    steps = [
+        ("eval", ["eval", "--system", sys_a, "--system", sys_b, "--gold", gold,
+                  "--metrics", "bcubed"]),
+        ("compare", ["compare", "--scores", scores_csv, "--a", "A", "--b", "B",
+                     "--parametric"]),
+        ("rank", ["rank", "--scores", scores_csv]),
+        ("alpha-sweep", ["alpha-sweep", "--scores", scores_csv, "--grid", "0:1:0.25"]),
+        ("threshold-sweep", ["threshold-sweep", "--scores", scores_csv]),
+        ("predict", ["predict", "--reference", collections[0], "--collections",
+                     *collections]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
+    runs = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ALL_PROBE, mode, json.dumps(steps)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        runs[mode] = json.loads(proc.stdout)
+    blocked, normal = runs["block"], runs["allow"]
+    assert blocked.pop("numpy loaded") is False
+    normal.pop("numpy loaded")
+    for name, _ in steps:
+        code, out, err = blocked[name]
+        assert code == 0, (name, err)
+        assert out
+    assert blocked == normal

@@ -88,7 +88,7 @@ class TestParseClustering:
         assert c.overlapping
 
     # Unicode whitespace that ASCII-only checks miss; U+001C, U+0085 and
-    # U+2028 also end a line for str.splitlines().
+    # U+2028 end a line for str.splitlines(), but not for the parser.
     ODD_ITEMS = ["a\x1cb", "a\x85b", "a\xa0b", "a\u2028b", "a\u3000b", "\xa0", ""]
 
     @pytest.mark.parametrize("item", ODD_ITEMS)
@@ -98,6 +98,22 @@ class TestParseClustering:
         assert info.value.line is not None and info.value.line >= 2
         with pytest.raises(ValueError, match="whitespace|empty item id"):
             Clustering({"c1": {"ok", item}})
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\u2028"])
+    def test_line_separators_stay_inside_the_line(self, separator):
+        with pytest.raises(ParseError, match="whitespace") as info:
+            parse_clustering(f"c1\ta{separator}b\nc1\tz\n")
+        assert info.value.line == 1
+        # Labels keep them verbatim, and the next line keeps its number.
+        with pytest.raises(ParseError, match="line 2: expected 2"):
+            parse_clustering(f"c{separator}1\ta\nbroken\n")
+
+    def test_crlf_and_missing_final_newline(self):
+        expected = parse_clustering("c1\ta\nc2\tb\n")
+        assert parse_clustering("c1\ta\r\nc2\tb") == expected
+        assert parse_clustering("c1\ta\r\nc2\tb\r\n") == expected
+        with pytest.raises(ParseError, match="line 3: expected 2"):
+            parse_clustering("c1\ta\r\n# note\x0cwith\u2028breaks\r\nbroken")
 
     def test_parsed_clusters_are_frozensets(self):
         c = parse_clustering("c2\tb\nc1\ta\nc1\tc\n")
@@ -219,6 +235,28 @@ class TestParseScoreTable:
         t = parse_score_table(SCORES_CSV, collection_id="c")
         again = parse_score_table(serialize_score_table(t), collection_id="c")
         assert again == t
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\u2028"])
+    def test_line_separators_stay_inside_the_line(self, separator):
+        text = (
+            "test_case,system,metric,score\n"
+            f"c1,s,p,0.5{separator}c1,s,r,0.5\n"
+            "c1,s,r,0.5\n"
+        )
+        with pytest.raises(ParseError, match="line 2: expected 4 fields, got 7"):
+            parse_score_table(text)
+        named = parse_score_table(
+            f"test_case,system,metric,score\nc1,s{separator}t,p,0.5\n"
+        )
+        assert named.systems == (f"s{separator}t",)
+
+    def test_crlf_and_missing_final_newline(self):
+        expected = parse_score_table(SCORES_CSV)
+        crlf = SCORES_CSV.replace("\n", "\r\n")
+        assert parse_score_table(crlf) == expected
+        assert parse_score_table(crlf.rstrip("\r\n")) == expected
+        with pytest.raises(ParseError, match="line 3: bad score"):
+            parse_score_table("test_case,system,metric,score\r\nc,s,p,0.5\r\nc,s,r,x")
 
     def test_first_appearance_order(self):
         text = (

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, roots_legendre
 from scipy.stats import rankdata
 
+import stats_oracle as oracle
 from unanimity.stats import (
-    _average_ranks,
-    _legendre_rule,
+    EXACT_CUTOFF,
+    _GAUSS_LEGENDRE,
+    _approx_two_sided_p,
+    _exact_two_sided_p,
     _ndtr,
+    _rank_sums,
     BivariateNormalModel,
     ImprovementCategory,
     categorize_improvement,
@@ -49,10 +53,24 @@ class TestScipyReplacements:
     """The stdlib/numpy stand-ins for scipy agree with scipy itself."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(0, 25), min_size=1, max_size=60))
+    @given(st.lists(st.integers(-25, 25), min_size=1, max_size=60))
     def test_average_ranks_equal_rankdata(self, ks):
-        values = np.asarray(ks) / 5.0
-        assert _average_ranks(values).tobytes() == rankdata(values).tobytes()
+        # The average ranks that _rank_sums' tie groups imply, mapped back
+        # onto the non-zero differences, are rankdata's to the bit.
+        d = np.asarray(ks) / 5.0
+        sizes, w_plus2 = _rank_sums(d, np.zeros_like(d))
+        nonzero = d[d != 0.0]
+        magnitudes = sorted(set(np.abs(nonzero).tolist()))
+        assert len(sizes) == len(magnitudes)
+        rank_of = {}
+        start = 0
+        for value, size in zip(magnitudes, sizes):
+            rank_of[value] = (2 * start + size + 1) / 2
+            start += size
+        ranks = np.array([rank_of[v] for v in np.abs(nonzero).tolist()], dtype=float)
+        expected = rankdata(np.abs(nonzero))
+        assert ranks.tobytes() == expected.tobytes()
+        assert w_plus2 == 2 * expected[nonzero > 0].sum()
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(-12.0, 12.0))
@@ -71,12 +89,91 @@ class TestScipyReplacements:
 
     @pytest.mark.parametrize("nodes", [6, 12, 20])
     def test_legendre_rule_matches_scipy(self, nodes):
-        x, w = _legendre_rule(nodes)
+        x, w = _GAUSS_LEGENDRE[nodes]
         x_ref, w_ref = roots_legendre(nodes)
-        assert np.max(np.abs(x - x_ref)) <= 2e-15
-        assert np.max(np.abs(w - w_ref)) <= 2e-15
-        assert _legendre_rule(nodes) is _legendre_rule(nodes)
-        assert not x.flags.writeable and not w.flags.writeable
+        assert np.max(np.abs(np.asarray(x) - x_ref)) <= 2e-15
+        assert np.max(np.abs(np.asarray(w) - w_ref)) <= 2e-15
+        # Every caller shares the table, so it must be immutable.
+        assert isinstance(x, tuple) and isinstance(w, tuple)
+
+
+coarse_or_uniform = st.one_of(
+    st.integers(0, 4).map(lambda k: k / 4),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def paired_samples(draw):
+    # Up to twice the exact-mode cutoff, so both p-value paths run; the
+    # coarse grid makes ties and zero differences common.
+    n = draw(st.integers(1, 2 * EXACT_CUTOFF))
+    x = draw(st.lists(coarse_or_uniform, min_size=n, max_size=n))
+    y = draw(st.lists(coarse_or_uniform, min_size=n, max_size=n))
+    return x, y
+
+
+class TestNumpyOracle:
+    """The plain-Python statistics against the numpy implementations in
+    ``stats_oracle``: Wilcoxon equal, parametric UIR within 1e-15."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(paired_samples())
+    def test_wilcoxon_equals_oracle(self, pair):
+        x, y = pair
+        got = wilcoxon_signed_rank(x, y)
+        expected = oracle.wilcoxon_signed_rank(x, y)
+        assert (got.w_plus, got.w_minus) == (expected.w_plus, expected.w_minus)
+        assert got.n_effective == expected.n_effective
+        assert got.p_value == expected.p_value
+        assert got.significant == expected.significant
+
+    def test_wilcoxon_paths_both_covered(self):
+        rng = np.random.default_rng(45)
+        for n in (EXACT_CUTOFF, EXACT_CUTOFF + 1):
+            x = rng.integers(0, 5, size=n) / 4 + 1.0
+            y = rng.integers(0, 5, size=n) / 4
+            assert wilcoxon_signed_rank(x, y) == oracle.wilcoxon_signed_rank(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), min_size=1, max_size=EXACT_CUTOFF).filter(
+            lambda sizes: sum(sizes) <= EXACT_CUTOFF
+        )
+    )
+    def test_exact_tail_equals_oracle_at_every_bound(self, sizes):
+        # Every attainable and unattainable bound of one tie pattern.
+        sizes = tuple(sizes)
+        ranks = []
+        start = 0
+        for size in sizes:
+            ranks += [(2 * start + size + 1) / 2] * size
+            start += size
+        n = len(ranks)
+        for w2 in range(n * (n + 1) // 2 + 1):
+            expected = oracle.exact_two_sided_p(np.asarray(ranks), w2 / 2)
+            assert _exact_two_sided_p(sizes, w2) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=3,
+            max_size=25,
+        )
+    )
+    def test_parametric_within_1e_15(self, deltas):
+        model = fit_bivariate_normal(deltas)
+        mean, cov = oracle.fit_bivariate_normal(deltas)
+        assert np.max(np.abs(np.asarray(model.mean) - mean)) <= 1e-15
+        assert np.max(np.abs(np.asarray(model.covariance) - cov)) <= 1e-15
+        value = orthant_probability(model) - orthant_probability(model.mirrored())
+        assert abs(value - oracle.parametric_uir_of_deltas(deltas)) <= 1e-15
+
+    @pytest.mark.parametrize("nodes", [6, 12, 20])
+    def test_node_tables_equal_leggauss(self, nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        assert _GAUSS_LEGENDRE[nodes] == (tuple(x.tolist()), tuple(w.tolist()))
 
 
 class TestWilcoxon:
@@ -147,14 +244,14 @@ class TestWilcoxon:
         # At n = 20 the exact mode runs; nudging the same data through the
         # approximation path must land nearby (sanity on the approximation).
         rng = np.random.default_rng(34)
-        from unanimity.stats import _approx_two_sided_p, _signed_ranks
-
         for _ in range(50):
             x = rng.uniform(size=20)
             y = rng.uniform(size=20)
             exact = wilcoxon_signed_rank(x, y).p_value
-            d, ranks, w_plus, w_minus = _signed_ranks(x, y)
-            approx = _approx_two_sided_p(d, min(w_plus, w_minus), d.size)
+            sizes, w_plus2 = _rank_sums(x, y)
+            n = sum(sizes)
+            w_min = min(w_plus2, n * (n + 1) - w_plus2) / 2
+            approx = _approx_two_sided_p(sizes, w_min, n)
             assert abs(exact - approx) < 0.02
 
     def test_mismatched_lengths_rejected(self):
@@ -245,7 +342,30 @@ class TestFit:
     def test_constructor_does_not_regularize(self):
         # Degenerate models may be built directly; only fitting regularizes.
         model = BivariateNormalModel(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert model.covariance[0, 1] == 1.0
+        assert model.covariance[0][1] == 1.0
+
+    @pytest.mark.parametrize(
+        "mean, cov, message",
+        [
+            (np.zeros(3), np.eye(2), "2-dimensional"),
+            (np.zeros(2), np.eye(3), "2-dimensional"),
+            (np.zeros((2, 2)), np.eye(2), "2-dimensional"),
+            (1.0, np.eye(2), "2-dimensional"),
+            ([0.0, 0.0], [[1.0, 0.1], [0.0, 1.0]], "symmetric"),
+            ([0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]], "symmetric"),
+            ([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], "negative variance"),
+        ],
+    )
+    def test_constructor_rejects(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
+            BivariateNormalModel(mean, cov)
+
+    def test_constructor_stores_tuples_of_floats(self):
+        model = BivariateNormalModel(np.array([1, 2]), [[1, 0], [1e-16, 1]])
+        assert model.mean == (1.0, 2.0)
+        assert model.covariance == ((1.0, 0.0), (1e-16, 1.0))
+        values = (*model.mean, *model.covariance[0], *model.covariance[1])
+        assert all(type(v) is float for v in values)
 
 
 def mc_orthant(model, n_samples, rng, chunk=2_000_000):
