@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -313,19 +314,41 @@ def _check_output(args: argparse.Namespace) -> None:
 
 
 def _write_output(path: Path, text: str) -> None:
-    """Replace ``path`` by ``text`` in one step, through a temporary file in
-    the same directory: a failed write leaves no truncated report."""
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """Write the report to ``path``.
+
+    A regular file, or a path not there yet, is replaced in one step through
+    a temporary file beside it, so a failed write leaves no truncated
+    report.  A symbolic link is followed and its target replaced, keeping
+    the target's permission bits.  Anything else that exists (a terminal,
+    ``/dev/null``, a pipe) is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    # The random part keeps a temporary file left by a killed run, whose
+    # PID a container may hand out again, from blocking this one.
+    temporary = os.path.join(
+        directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    )
     try:
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise OSError(f"cannot write {path}: {exc}") from None
     try:
         with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             handle.write(text)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        Path(temporary).unlink(missing_ok=True)
         raise
 
 

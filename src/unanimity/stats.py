@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import MetricPair, metric_pair_columns
@@ -66,7 +64,8 @@ def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
 
     Group sizes fix the average ranks: a group of ``size`` values after the
     ``start`` smaller ones shares the rank (2 * start + size + 1) / 2.
-    Doubled rank sums are integers, so they are exact in any order.
+    Doubled rank sums are integers, so they are exact in any order.  An
+    infinite difference takes the largest rank; a NaN one is refused.
     """
     try:
         xs = list(map(float, x))
@@ -79,6 +78,9 @@ def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
         raise ValueError("empty samples")
     d = list(map(sub, xs, ys))
     magnitudes = Counter(map(abs, d))
+    # A NaN leaves the sort order of the magnitudes undefined.
+    if any(map(math.isnan, magnitudes)):
+        raise ValueError("paired differences must not be NaN")
     magnitudes.pop(0.0, None)
     positive = Counter(filter((0.0).__lt__, d))
     sizes = []
@@ -94,29 +96,25 @@ def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _null_cumulative(sizes: tuple[int, ...]) -> array:
+def _null_cumulative(sizes: tuple[int, ...]) -> list[int]:
     """Cumulative counts of the doubled rank sum over all 2^n sign
     assignments, for sums 0 .. n(n+1)/2: the lower half of the exact null
     distribution, which is symmetric.
 
     The distribution is the coefficient list of the product of
-    (1 + z^r) over the doubled ranks r.  Each coefficient is below 2^63, so
-    the product runs on one integer with a 64-bit slot per power of z.
-    Cached per tie pattern; each entry holds at most 211 counts (n = 20).
+    (1 + z^r) over the doubled ranks r, truncated at the half, since
+    multiplying by (1 + z^r) only moves counts upward.  Cached per tie
+    pattern; each entry holds at most 211 counts (n = 20).
     """
     n = sum(sizes)
-    total = n * (n + 1)
-    poly = 1
+    counts = [1] + [0] * (n * (n + 1) // 2)
     start = 0
     for size in sizes:
-        shift = 64 * (2 * start + size + 1)
+        rank2 = 2 * start + size + 1
         for _ in range(size):
-            poly += poly << shift
+            counts[rank2:] = map(add, counts[rank2:], counts[:-rank2])
         start += size
-    counts = array("q", poly.to_bytes(8 * (total + 1), "little"))
-    if sys.byteorder == "big":
-        counts.byteswap()
-    return array("q", accumulate(counts[: total // 2 + 1]))
+    return list(accumulate(counts))
 
 
 def _exact_two_sided_p(sizes: tuple[int, ...], w2_min: int) -> float:
@@ -143,7 +141,8 @@ def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResu
     Up to ``EXACT_CUTOFF`` non-zero differences the p-value is exact: with
     T = min(W+, W-), p = P(T <= T_obs) over all 2^n equiprobable sign
     assignments.  Larger samples use the normal approximation with tie and
-    continuity corrections.  With no non-zero differences p = 1.
+    continuity corrections.  With no non-zero differences p = 1.  A NaN
+    difference raises ``ValueError``.
     """
     if not 0.0 < significance_level < 1.0:
         raise ValueError(f"significance level {significance_level} outside (0, 1)")

@@ -208,6 +208,47 @@ class TestRank:
             "report.csv",
         ]
 
+    def test_output_symlink_written_through(self, scores_csv, tmp_path, capsys):
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "report.csv"
+        target.write_text("old report\n", encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["rank", "--scores", scores_csv, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8").startswith("system,mean_f")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in target.parent.iterdir()) == ["report.csv"]
+        # A dangling link creates its target.
+        target.unlink()
+        assert main(["rank", "--scores", scores_csv, "--output", str(link)]) == 0
+        assert target.read_text(encoding="utf-8").startswith("system,mean_f")
+
+    def test_output_fifo_written_in_place(self, scores_csv, tmp_path, capsys):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            assert main(["rank", "--scores", scores_csv, "--output", str(fifo)]) == 0
+            received, _ = reader.communicate(timeout=30)
+        finally:
+            reader.kill()
+            reader.wait()
+        assert received.decode("utf-8").startswith("system,mean_f")
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "report.fifo"]
+
+    def test_stale_temporary_file_does_not_block(self, scores_csv, tmp_path, capsys):
+        # A run killed mid-write leaves its temporary file; the next run,
+        # maybe with the same PID, must still write.
+        stale = tmp_path / f".report.csv.{os.getpid()}.tmp"
+        stale.write_text("partial", encoding="utf-8")
+        target = tmp_path / "report.csv"
+        assert main(["rank", "--scores", scores_csv, "--output", str(target)]) == 0
+        assert target.read_text(encoding="utf-8").startswith("system,mean_f")
+        assert stale.read_text(encoding="utf-8") == "partial"
+
 
 class TestSweeps:
     def test_alpha_sweep_default_grid(self, scores_csv, capsys):

@@ -135,6 +135,24 @@ class TestNumpyOracle:
             y = rng.integers(0, 5, size=n) / 4
             assert wilcoxon_signed_rank(x, y) == oracle.wilcoxon_signed_rank(x, y)
 
+    def test_infinite_difference_ranks_largest_as_oracle(self):
+        inf = float("inf")
+        for x, y in [([0.3, inf, 0.1], [0.0] * 3), ([0.3, -inf, 0.1, 0.2], [0.0] * 4)]:
+            assert wilcoxon_signed_rank(x, y) == oracle.wilcoxon_signed_rank(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.3, float("nan"), 0.1], [0.0, 0.0, 0.0]),
+            ([0.3, 0.2, 0.1], [0.0, float("nan"), 0.0]),
+            ([float("inf"), 0.2], [float("inf"), 0.0]),
+        ],
+    )
+    def test_nan_difference_refused(self, x, y):
+        # Sorting NaN among the magnitudes would rank the others wrongly.
+        with pytest.raises(ValueError, match="must not be NaN"):
+            wilcoxon_signed_rank(x, y)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(1, 5), min_size=1, max_size=EXACT_CUTOFF).filter(
