@@ -191,11 +191,10 @@ def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
 
 def _cmd_predict(args: argparse.Namespace) -> str:
     collections = [_load_table(path, args.percent) for path in args.collections]
-    reference_stem = Path(args.reference).stem
-    reference = next(
-        (t for t in collections if t.collection_id == reference_stem), None
-    )
-    if reference is None:
+    for path, reference in zip(args.collections, collections):
+        if _same_file(path, args.reference):
+            break
+    else:
         raise ValueError("reference collection must be among the collections")
     grid = _parse_grid(args.grid)
     curves = predictor_curves(reference, collections, grid, args.alpha)
@@ -300,16 +299,19 @@ def _error_category(exc: Exception) -> str:
     return "invalid"
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, by resolved path or ``os.path.samefile``."""
+    return Path(a).resolve() == Path(b).resolve() or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+    )
+
+
 def _check_output(args: argparse.Namespace) -> None:
     """Refuse an --output that is one of the command's input files."""
-    output = Path(args.output)
     for name in INPUT_OPTIONS:
         value = getattr(args, name, None)
         for path in [value] if isinstance(value, str) else value or ():
-            same = Path(path).resolve() == output.resolve() or (
-                output.exists() and Path(path).exists() and os.path.samefile(path, output)
-            )
-            if same:
+            if _same_file(path, args.output):
                 raise ValueError(f"--output {args.output} is also an input file")
 
 

@@ -10,13 +10,15 @@ hold on every other collection.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from operator import gt
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from unanimity.data import ScoreTable
-from unanimity.metrics import MetricPair, _mean_f, mean_f_measure, metric_pair_columns
+from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, categorize_improvement, parametric_uir
 from unanimity.uir import pairwise_uir_matrix
 
@@ -34,11 +36,30 @@ def _check_grid(grid: Sequence[float], lo: float, hi: float, what: str) -> tuple
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise ValueError(f"empty {what} grid")
+    # Every point is checked: NaN fails the sortedness and endpoint tests alike.
+    if not all(lo <= t <= hi for t in grid):
+        raise ValueError(f"{what} grid outside [{lo}, {hi}]")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{what} grid must be sorted ascending")
-    if grid[0] < lo or grid[-1] > hi:
-        raise ValueError(f"{what} grid outside [{lo}, {hi}]")
     return grid
+
+
+def _counts_above(
+    values: Sequence[float], flags: Sequence[Sequence[bool]], grid: Sequence[float]
+) -> Iterator[tuple[float, int, list[int]]]:
+    """Yield t, the number k of values strictly above t, and how many of
+    those k carry each flag column, for every t of the grid.
+
+    One sort, flags summed from the top value down, then one bisection per
+    threshold: O(P log P + G log P) for P values and G thresholds.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranked = [values[i] for i in order]
+    order.reverse()
+    tops = [list(accumulate((column[i] for i in order), initial=0)) for column in flags]
+    for t in grid:
+        k = len(ranked) - bisect_right(ranked, t)
+        yield t, k, [top[k] for top in tops]
 
 
 @dataclass(frozen=True)
@@ -53,7 +74,6 @@ def alpha_sweep(
     table: ScoreTable,
     grid: Sequence[float] | None = None,
     systems: Sequence[str] | None = None,
-    pair: MetricPair | str | None = None,
 ) -> AlphaSweep:
     """Mean F of each system at every alpha of the grid."""
     grid = alpha_grid() if grid is None else _check_grid(grid, 0.0, 1.0, "alpha")
@@ -63,7 +83,7 @@ def alpha_sweep(
         systems = tuple(systems)
         if not systems:
             raise ValueError("no systems selected")
-    p_col, r_col = metric_pair_columns(table, pair)
+    p_col, r_col = metric_pair_columns(table)
     curves: dict[str, tuple[float, ...]] = {}
     for system in systems:
         precision = table.scores_for(system, p_col)
@@ -110,47 +130,32 @@ def threshold_sweep(
     grid = _check_grid(grid, -1.0, 1.0, "threshold")
     if len(table.systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
-    pairs = [
-        (a, b) for a in table.systems for b in table.systems if a != b
-    ]
+    pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
     matrix = pairwise_uir_matrix(table)
     categories: dict[tuple[str, str], ImprovementCategory] = {}
     for i, a in enumerate(table.systems):
         for b in table.systems[i + 1 :]:
             category = categorize_improvement(table, a, b, significance_level)
-            categories[(a, b)] = category
-            categories[(b, a)] = category
+            categories[(a, b)] = categories[(b, a)] = category
     curves = alpha_sweep(table, alpha_grid()).curves
-    all_alpha_wins = {(a, b): all(map(gt, curves[a], curves[b])) for a, b in pairs}
     means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
-
+    flags = (
+        [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs],
+        [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs],
+        [all(map(gt, curves[a], curves[b])) for a, b in pairs],
+        [means[a] - means[b] > 0.0 for a, b in pairs],
+    )
+    values = [matrix[p].value for p in pairs]
     rows = []
-    for t in grid:
-        accepted = [p for p in pairs if matrix[p].value > t]
-        k = len(accepted)
-        if k:
-            concordant = sum(
-                categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT
-                for p in accepted
-            ) / k
-            opposite = sum(
-                categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT
-                for p in accepted
-            ) / k
-            all_alpha = sum(all_alpha_wins[p] for p in accepted) / k
-            f05 = sum(means[a] - means[b] > 0.0 for a, b in accepted) / k
-        else:
-            concordant = opposite = all_alpha = f05 = 0.0
-        rows.append(
-            ThresholdSweepRow(t, k / len(pairs), concordant, opposite, all_alpha, f05, k)
-        )
+    for t, k, counts in _counts_above(values, flags, grid):
+        ratios = [count / k for count in counts] if k else [0.0] * len(counts)
+        rows.append(ThresholdSweepRow(t, k / len(pairs), *ratios, k))
     return rows
 
 
 def gold_consistent_pairs(
     tables: Sequence[ScoreTable],
     alpha: float = 0.5,
-    pair: MetricPair | str | None = None,
 ) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F gap is positive in every collection."""
     if len(tables) < 2:
@@ -160,7 +165,7 @@ def gold_consistent_pairs(
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
     means = [
-        {s: mean_f_measure(table, s, alpha, pair) for s in table.systems}
+        {s: mean_f_measure(table, s, alpha) for s in table.systems}
         for table in tables
     ]
     systems = tables[0].systems
@@ -194,7 +199,6 @@ def predictor_curves(
     collections: Sequence[ScoreTable],
     grid: Sequence[float],
     alpha: float = 0.5,
-    pair: MetricPair | str | None = None,
 ) -> list[PredictorCurve]:
     """Precision/recall of each predictor at every threshold of the grid.
 
@@ -208,35 +212,32 @@ def predictor_curves(
         for table in collections
     ):
         raise ValueError("reference collection must be among the collections")
-    target = gold_consistent_pairs(collections, alpha, pair)
+    target = gold_consistent_pairs(collections, alpha)
     if not target:
         raise ValueError("no gold-consistent pairs across the collections")
     matrix = pairwise_uir_matrix(reference)
-    means = {
-        s: mean_f_measure(reference, s, alpha, pair) for s in reference.systems
-    }
+    means = {s: mean_f_measure(reference, s, alpha) for s in reference.systems}
     systems = reference.systems
     pairs = [(a, b) for a in systems for b in systems if a != b]
-    scores: dict[Predictor, dict[tuple[str, str], float]] = {
-        Predictor.UIR: {p: matrix[p].value for p in pairs},
-        Predictor.F_DELTA: {(a, b): means[a] - means[b] for a, b in pairs},
-    }
     parametric: dict[tuple[str, str], float] = {}
     for i, a in enumerate(systems):
         for b in systems[i + 1 :]:
-            value = parametric_uir(reference, a, b, pair)
+            value = parametric_uir(reference, a, b)
             parametric[(a, b)] = value
             parametric[(b, a)] = -value
-    scores[Predictor.PARAMETRIC_UIR] = parametric
+    scores = {
+        Predictor.UIR: [matrix[p].value for p in pairs],
+        Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],
+        Predictor.PARAMETRIC_UIR: [parametric[p] for p in pairs],
+    }
 
+    in_target = ([p in target for p in pairs],)
     curves = []
     for predictor in Predictor:
-        points = []
-        for t in grid:
-            predicted = {p for p, v in scores[predictor].items() if v > t}
-            if not predicted:
-                continue
-            hits = len(predicted & target)
-            points.append((t, hits / len(predicted), hits / len(target)))
-        curves.append(PredictorCurve(predictor, tuple(points)))
+        points = tuple(
+            (t, hits / k, hits / len(target))
+            for t, k, (hits,) in _counts_above(scores[predictor], in_target, grid)
+            if k
+        )
+        curves.append(PredictorCurve(predictor, points))
     return curves

@@ -224,8 +224,9 @@ def metric_pair_columns(
 ) -> tuple[str, str]:
     """Resolve a table's (precision-like, recall-like) column names.
 
-    With an explicit pair the named columns must exist.  Without one the
-    table must have exactly two metrics, read in column order.
+    With an explicit pair the named columns must exist; ``select_metrics``
+    of them narrows a wider table to that pair.  Without one the table must
+    have exactly two metrics, read in column order.
     """
     if pair is not None:
         columns = PAIR_COLUMNS[MetricPair(pair)]
@@ -236,7 +237,7 @@ def metric_pair_columns(
     names = table.metric_names
     if len(names) != 2:
         raise ValueError(
-            f"table has {len(names)} metrics; specify an explicit metric pair"
+            f"table has {len(names)} metrics; narrow it to one metric pair first"
         )
     return names
 
@@ -257,12 +258,7 @@ def _mean_f(precision: Sequence[float], recall: Sequence[float], alpha: float) -
     return total / len(precision)
 
 
-def mean_f_measure(
-    table: ScoreTable,
-    system: str,
-    alpha: float = 0.5,
-    pair: MetricPair | str | None = None,
-) -> float:
+def mean_f_measure(table: ScoreTable, system: str, alpha: float = 0.5) -> float:
     """Mean over test cases of the per-case F of one system."""
-    p_col, r_col = metric_pair_columns(table, pair)
+    p_col, r_col = metric_pair_columns(table)
     return _mean_f(table.scores_for(system, p_col), table.scores_for(system, r_col), alpha)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from unanimity.data import ScoreTable
-from unanimity.metrics import MetricPair, mean_f_measure
+from unanimity.metrics import mean_f_measure
 from unanimity.uir import best_rival, pairwise_uir_matrix
 
 # A rival winning on at least 90% of cases net suggests the system behaves
@@ -35,7 +35,6 @@ def render_ranking_report(
     table: ScoreTable,
     alpha: float = 0.5,
     uir_threshold: float = 0.25,
-    pair: MetricPair | str | None = None,
 ) -> list[RankingRow]:
     """Rows sorted by mean F descending, ties broken by system id.
 
@@ -44,7 +43,7 @@ def render_ranking_report(
     when positive.  ``near_baseline`` flags reference UIR at or above 0.9.
     """
     matrix = pairwise_uir_matrix(table)
-    means = {s: mean_f_measure(table, s, alpha, pair) for s in table.systems}
+    means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
     rows = []
     for system in sorted(table.systems, key=lambda s: (-means[s], s)):
         improved = tuple(

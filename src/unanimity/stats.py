@@ -24,7 +24,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from unanimity.data import ScoreTable
-from unanimity.metrics import MetricPair, metric_pair_columns
+from unanimity.metrics import metric_pair_columns
 
 EXACT_CUTOFF = 20
 
@@ -420,19 +420,14 @@ def orthant_probability(model: BivariateNormalModel) -> float:
     return _bvn_upper_tail(-mu[0] / s1, -mu[1] / s2, rho)
 
 
-def parametric_uir(
-    table: ScoreTable,
-    sys_a: str,
-    sys_b: str,
-    pair: MetricPair | str | None = None,
-) -> float:
+def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     """Difference between positive- and negative-quadrant mass of the fitted
     difference model; a smoothed stand-in for the UIR, in [-1, 1].
 
     Exactly antisymmetric in the two systems: swapping them negates every
     fitted difference, which mirrors the mean and keeps the covariance.
     """
-    p_col, r_col = metric_pair_columns(table, pair)
+    p_col, r_col = metric_pair_columns(table)
     delta_p = map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col))
     delta_r = map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col))
     model = fit_bivariate_normal(list(zip(delta_p, delta_r)))

@@ -15,7 +15,7 @@ from operator import and_, ge, le
 from typing import Mapping, Sequence
 
 from unanimity.data import Column, MetricVector, ScoreTable
-from unanimity.metrics import MetricPair, mean_f_measure
+from unanimity.metrics import mean_f_measure
 
 
 class RelationOutcome(Enum):
@@ -147,11 +147,10 @@ def robust_set_f(
     table: ScoreTable,
     threshold: float,
     alpha: float = 0.5,
-    pair: MetricPair | str | None = None,
 ) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F difference strictly exceeds the threshold."""
     means = {
-        system: mean_f_measure(table, system, alpha, pair) for system in table.systems
+        system: mean_f_measure(table, system, alpha) for system in table.systems
     }
     out: set[tuple[str, str]] = set()
     for sys_a in table.systems:

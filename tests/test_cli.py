@@ -351,6 +351,32 @@ class TestPredict:
         )
         assert "among the collections" in capsys.readouterr().err
 
+    def test_reference_is_the_same_file_not_the_same_stem(self, tmp_path, capsys):
+        chain = {
+            "x": [(0.9, 0.8), (0.85, 0.8), (0.9, 0.85)],
+            "y": [(0.6, 0.5), (0.65, 0.6), (0.6, 0.55)],
+            "z": [(0.3, 0.2), (0.35, 0.3), (0.3, 0.25)],
+        }
+        # x still leads y on mean F, but no longer on every case.
+        trade_off = dict(chain, x=[(0.9, 0.3), (0.9, 0.8), (0.9, 0.85)])
+        paths = []
+        for name, scores in (("a/x.csv", trade_off), ("b/x.csv", chain), ("c.csv", chain)):
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(serialize_score_table(make_table(scores)), encoding="utf-8")
+            paths.append(str(path))
+        a, b, c = paths
+
+        def run(reference, *collections):
+            argv = ["predict", "--reference", reference, "--collections", *collections]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert run(a, a, b, c) != run(b, b, a, c)
+        assert run(b, a, b, c) == run(b, b, a, c)
+        assert run(a, b, a, c) == run(a, a, b, c)
+        assert run(str(tmp_path / "b" / "." / "x.csv"), a, b, c) == run(b, b, a, c)
+
 
 class TestByteOrderMark:
     """A UTF-8 byte order mark, as spreadsheet exports write it, is ignored."""

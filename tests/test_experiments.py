@@ -88,6 +88,10 @@ class TestAlphaSweep:
             alpha_sweep(table, [0.5, 0.2])
         with pytest.raises(ValueError, match="outside"):
             alpha_sweep(table, [0.5, 1.2])
+        # NaN passes every sortedness and endpoint comparison.
+        for grid in ([0.0, float("nan"), 0.5], [float("nan")], [0.5, 0.2, float("nan")]):
+            with pytest.raises(ValueError, match="outside"):
+                alpha_sweep(table, grid)
 
 
 def planted_table():
@@ -190,6 +194,15 @@ class TestThresholdSweep:
         rows = threshold_sweep(table, [1.0])
         assert rows[0].accepted_empty
         assert rows[0].accepted_ratio == 0.0
+
+    def test_nan_threshold_refused(self):
+        table = planted_table()
+        tables = chain_collections()
+        for grid in ([0.0, float("nan"), 0.5], [float("nan")], [0.5, 0.2, float("nan")]):
+            with pytest.raises(ValueError, match=r"outside \[-1.0, 1.0\]"):
+                threshold_sweep(table, grid)
+            with pytest.raises(ValueError, match=r"outside \[-1.0, 1.0\]"):
+                predictor_curves(tables[0], tables, grid)
 
     def test_needs_two_systems(self):
         table = make_table({"only": [(0.5, 0.5)]})
