@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 
 class ParseError(ValueError):
@@ -37,8 +36,37 @@ def _check_item(token: str) -> None:
         raise ValueError(f"item id contains whitespace: {token!r}" if token else "empty item id")
 
 
-@dataclass(frozen=True)
-class Clustering:
+class _Value:
+    """Base of the validated types: an immutable value object.
+
+    Attributes are written once, into ``__dict__``, while the object is
+    built; assigning or deleting one later raises ``AttributeError``.  Two
+    objects of the same class are equal when the attributes named in
+    ``_compared`` are.  The fields hold dicts, so the objects are unhashable.
+    The ``repr`` shows the attributes named in ``_shown``.
+    """
+
+    _shown: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self._compared)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Clustering(_Value):
     """A labeled family of non-empty item sets.
 
     Items may appear in several clusters (overlapping clustering) or in none.
@@ -46,11 +74,12 @@ class Clustering:
     clusters are read as categories.
     """
 
+    _shown = _compared = ("clusters",)
     clusters: Mapping[str, frozenset[str]]
 
-    def __post_init__(self):
+    def __init__(self, clusters: Mapping[str, Iterable[str]]):
         frozen: dict[str, frozenset[str]] = {}
-        for label, members in self.clusters.items():
+        for label, members in clusters.items():
             if not label:
                 raise ValueError("empty cluster label")
             members = frozenset(members)
@@ -59,13 +88,13 @@ class Clustering:
             for item in members:
                 _check_item(item)
             frozen[label] = members
-        object.__setattr__(self, "clusters", frozen)
+        self.__dict__["clusters"] = frozen
 
     @classmethod
     def _of(cls, clusters: dict[str, frozenset[str]]) -> "Clustering":
         """Wrap clusters whose labels and items the caller has already checked."""
         clustering = cls.__new__(cls)
-        object.__setattr__(clustering, "clusters", clusters)
+        clustering.__dict__["clusters"] = clusters
         return clustering
 
     @cached_property
@@ -151,8 +180,7 @@ def serialize_clustering(clustering: Clustering) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Item-coverage comparison between a system clustering and a gold standard."""
 
     system_only: tuple[str, ...]
@@ -193,19 +221,19 @@ def validate_pair(
     return ValidationReport(system_only, gold_only, tuple(notes))
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(_Value):
     """Named scores in [0, 1] for one (test case, system) cell.
 
     Name order is meaningful: it is shared by every cell of a table and, for
     two-metric tables, reads as (precision-like, recall-like).
     """
 
+    _shown = _compared = ("scores",)
     scores: Mapping[str, float]
 
-    def __post_init__(self):
+    def __init__(self, scores: Mapping[str, float]):
         frozen: dict[str, float] = {}
-        for name, value in self.scores.items():
+        for name, value in scores.items():
             if not name:
                 raise ValueError("empty metric name")
             value = float(value)
@@ -214,7 +242,7 @@ class MetricVector:
             frozen[name] = value
         if not frozen:
             raise ValueError("metric vector has no scores")
-        object.__setattr__(self, "scores", frozen)
+        self.__dict__["scores"] = frozen
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -267,22 +295,25 @@ def _build_columns(
     return tuple(cases), tuple(systems), tuple(metrics), columns
 
 
-@dataclass(frozen=True, init=False)
-class ScoreTable:
+class ScoreTable(_Value):
     """Dense (test case x system x metric) score table for one collection.
 
     Scores are stored once, one tuple per (system, metric) column in case
     order; a cell's ``MetricVector`` is built only when ``cell()`` asks for
     it.  The constructor takes one metric vector per (case, system) cell.
+    Equality compares the shown fields and the columns; the case index and
+    system set derive from them.
     """
 
+    _shown = ("collection_id", "cases", "systems", "metric_names")
+    _compared = _shown + ("_columns",)
     collection_id: str
     cases: tuple[str, ...]
     systems: tuple[str, ...]
     metric_names: tuple[str, ...]
-    _columns: Mapping[tuple[str, str], Column] = field(repr=False)
-    _case_index: Mapping[str, int] = field(repr=False, compare=False)
-    _system_set: frozenset[str] = field(repr=False, compare=False)
+    _columns: Mapping[tuple[str, str], Column]
+    _case_index: Mapping[str, int]
+    _system_set: frozenset[str]
 
     def __init__(
         self,
@@ -314,10 +345,15 @@ class ScoreTable:
         self._set(collection_id, *_build_columns(rows))
 
     def _set(self, collection_id, cases, systems, metric_names, columns) -> None:
-        index = {case: i for i, case in enumerate(cases)}
-        values = (collection_id, cases, systems, metric_names, columns, index, frozenset(systems))
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
+        self.__dict__.update(
+            collection_id=collection_id,
+            cases=cases,
+            systems=systems,
+            metric_names=metric_names,
+            _columns=columns,
+            _case_index={case: i for i, case in enumerate(cases)},
+            _system_set=frozenset(systems),
+        )
 
     @classmethod
     def _of(cls, collection_id, cases, systems, metric_names, columns) -> "ScoreTable":

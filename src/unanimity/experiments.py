@@ -11,11 +11,10 @@ hold on every other collection.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import gt
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
@@ -62,8 +61,7 @@ def _counts_above(
         yield t, k, [top[k] for top in tops]
 
 
-@dataclass(frozen=True)
-class AlphaSweep:
+class AlphaSweep(NamedTuple):
     """Mean-F curves over a shared alpha grid, one curve per system."""
 
     alphas: tuple[float, ...]
@@ -92,8 +90,7 @@ def alpha_sweep(
     return AlphaSweep(grid, curves)
 
 
-@dataclass(frozen=True)
-class ThresholdSweepRow:
+class ThresholdSweepRow(NamedTuple):
     """Share and makeup of system pairs accepted at one UIR threshold.
 
     Ratios conditioned on the accepted set are 0 by convention when nothing
@@ -185,8 +182,7 @@ class Predictor(str, Enum):
     PARAMETRIC_UIR = "parametric_uir"
 
 
-@dataclass(frozen=True)
-class PredictorCurve:
+class PredictorCurve(NamedTuple):
     """(threshold, precision, recall) points; thresholds whose predicted set
     is empty are omitted because precision is undefined there."""
 
@@ -204,13 +200,12 @@ def predictor_curves(
 
     The target set is the gold-consistent pairs over all collections; the
     predicted set at threshold t holds the reference-collection pairs whose
-    predictor value strictly exceeds t.
+    predictor value strictly exceeds t.  The reference must be one of the
+    collections, or equal to one; a shared ``collection_id`` is not enough.
     """
     grid = _check_grid(grid, -1.0, 1.0, "threshold")
-    if not any(
-        table is reference or table.collection_id == reference.collection_id
-        for table in collections
-    ):
+    # ``in`` tests identity first, then equality.
+    if reference not in collections:
         raise ValueError("reference collection must be among the collections")
     target = gold_consistent_pairs(collections, alpha)
     if not target:

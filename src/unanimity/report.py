@@ -8,7 +8,7 @@ robustly improves on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import mean_f_measure
@@ -19,8 +19,7 @@ from unanimity.uir import best_rival, pairwise_uir_matrix
 NEAR_BASELINE_UIR = 0.9
 
 
-@dataclass(frozen=True)
-class RankingRow:
+class RankingRow(NamedTuple):
     """One system's line in the ranking report."""
 
     system: str
@@ -41,7 +40,10 @@ def render_ranking_report(
     ``improved_systems`` lists rivals improved with UIR above the threshold;
     ``reference_system`` is the rival with the highest UIR over this system,
     when positive.  ``near_baseline`` flags reference UIR at or above 0.9.
+    A threshold outside [-1, 1], NaN included, raises ``ValueError``.
     """
+    if not -1.0 <= uir_threshold <= 1.0:
+        raise ValueError(f"UIR threshold {uir_threshold} outside [-1, 1]")
     matrix = pairwise_uir_matrix(table)
     means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
     rows = []

@@ -18,10 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import add, sub
+from typing import NamedTuple
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import metric_pair_columns
@@ -29,8 +29,7 @@ from unanimity.metrics import metric_pair_columns
 EXACT_CUTOFF = 20
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     """Two-sided signed-rank test outcome on paired samples.
 
     ``w_plus`` and ``w_minus`` are the rank sums of the positive and the
@@ -205,21 +204,24 @@ def categorize_improvement(
 REGULARIZATION = 1e-9
 
 
-@dataclass(frozen=True)
-class BivariateNormalModel:
+class _BivariateNormalFields(NamedTuple):
+    mean: tuple[float, float]
+    covariance: tuple[tuple[float, float], tuple[float, float]]
+
+
+class BivariateNormalModel(_BivariateNormalFields):
     """Mean and covariance of per-case score differences on two metrics.
 
     Takes any array-likes of shape (2,) and (2, 2) and stores them as
     tuples of floats.
     """
 
-    mean: tuple[float, float]
-    covariance: tuple[tuple[float, float], tuple[float, float]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mean, covariance):
         try:
-            m0, m1 = map(float, self.mean)
-            (c00, c01), (c10, c11) = (map(float, row) for row in self.covariance)
+            m0, m1 = map(float, mean)
+            (c00, c01), (c10, c11) = (map(float, row) for row in covariance)
         except (TypeError, ValueError):
             raise ValueError("model must be 2-dimensional") from None
         # Each entry within 1e-15 of its transpose's, or equal to it (an
@@ -228,8 +230,13 @@ class BivariateNormalModel:
             raise ValueError("covariance must be symmetric")
         if c00 < 0.0 or c11 < 0.0:
             raise ValueError("negative variance")
-        object.__setattr__(self, "mean", (m0, m1))
-        object.__setattr__(self, "covariance", ((c00, c01), (c10, c11)))
+        return super().__new__(cls, (m0, m1), ((c00, c01), (c10, c11)))
+
+    @classmethod
+    def _make(cls, iterable) -> "BivariateNormalModel":
+        # The tuple-level constructor behind ``_replace``, which would
+        # otherwise skip the checks.
+        return cls(*iterable)
 
     def mirrored(self) -> "BivariateNormalModel":
         """Same spread, negated mean: its positive quadrant is this model's

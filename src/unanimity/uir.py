@@ -9,10 +9,9 @@ robustly one system beats another regardless of metric weighting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import and_, ge, le
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from unanimity.data import Column, MetricVector, ScoreTable
 from unanimity.metrics import mean_f_measure
@@ -47,8 +46,7 @@ def unanimous_compare(qa: MetricVector, qb: MetricVector) -> RelationOutcome:
     return RelationOutcome.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class UirResult:
+class UirResult(NamedTuple):
     """Per-case relation counts and the ratio ``(n_a_geq - n_b_geq) / n_total``.
 
     Ties satisfy both directions and are counted in both ``n_a_geq`` and

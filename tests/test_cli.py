@@ -147,6 +147,18 @@ class TestRank:
         for row in rows[1:]:
             assert len(row) == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-1.01"])
+    def test_uir_threshold_outside_unit_range_refused(self, scores_csv, value, capsys):
+        assert main(["rank", "--scores", scores_csv, f"--uir-threshold={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid: UIR threshold")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "1"])
+    def test_uir_threshold_bounds_accepted(self, scores_csv, value, capsys):
+        assert main(["rank", "--scores", scores_csv, f"--uir-threshold={value}"]) == 0
+        assert capsys.readouterr().out.startswith("system,mean_f")
+
     def test_deterministic_bytes(self, scores_csv, capsys):
         main(["rank", "--scores", scores_csv])
         first = capsys.readouterr().out
@@ -441,24 +453,26 @@ import json, pkgutil, sys
 import unanimity.cli
 from unanimity.cli import main
 
-package = sys.modules["unanimity"]
-state = {
-    "unloaded": sorted(
-        m.name for m in pkgutil.iter_modules(package.__path__, "unanimity.")
-        if m.name not in sys.modules
-    ),
-    "import": ["numpy" in sys.modules, "scipy" in sys.modules],
-}
+WATCHED = ("numpy", "scipy", "dataclasses", "inspect")
+imported = set(sys.modules)
+state = {"import": [m for m in WATCHED if m in imported]}
 for name, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, name
-    state[name] = ["numpy" in sys.modules, "scipy" in sys.modules]
+    state[name] = [m for m in WATCHED if m in sys.modules]
+# Last, because pkgutil.iter_modules imports inspect itself.
+package = sys.modules["unanimity"]
+state["unloaded"] = sorted(
+    m.name for m in pkgutil.iter_modules(package.__path__, "unanimity.")
+    if m.name not in imported
+)
 print(json.dumps(state))
 """
 
 
 def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_path):
-    """No command loads numpy or scipy, and ``import unanimity.cli`` still
-    loads every submodule of the package."""
+    """No command loads numpy, scipy, dataclasses or inspect (with ast, dis
+    and tokenize behind it), and ``import unanimity.cli`` still loads every
+    submodule of the package."""
     gold, sys_a, _ = clustering_files
     out = str(tmp_path / "out.txt")
     steps = [
@@ -487,13 +501,13 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_p
     )
     state = json.loads(proc.stdout)
     assert state["unloaded"] == []
-    # [numpy loaded, scipy loaded] after each step, in order.
-    assert state["import"] == [False, False]
-    assert state["eval"] == [False, False]
-    assert state["rank"] == [False, False]
-    assert state["compare"] == [False, False]
-    assert state["threshold-sweep"] == [False, False]
-    assert state["predict"] == [False, False]
+    # The watched modules loaded after the import and after each step.
+    assert state["import"] == []
+    assert state["eval"] == []
+    assert state["rank"] == []
+    assert state["compare"] == []
+    assert state["threshold-sweep"] == []
+    assert state["predict"] == []
 
 
 RUN_ALL_PROBE = """

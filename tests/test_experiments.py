@@ -310,6 +310,22 @@ class TestPredictorCurves:
         with pytest.raises(ValueError, match="among the collections"):
             predictor_curves(outsider, tables, [0.0])
 
+    def test_reference_sharing_only_the_collection_id_refused(self):
+        tables = chain_collections()
+        first = tables[0]
+        # The chain reversed, z > y > x, under the first collection's id.
+        flipped = {
+            system: list(zip(first.scores_for(other, "precision"), first.scores_for(other, "recall")))
+            for system, other in zip("xyz", "zyx")
+        }
+        impostor = make_table(flipped, collection_id=first.collection_id)
+        with pytest.raises(ValueError, match="among the collections"):
+            predictor_curves(impostor, tables, [0.0])
+        # An equal table that is not one of the listed objects is accepted.
+        copy = chain_collections()[0]
+        assert copy is not first and copy == first
+        assert predictor_curves(copy, tables, [0.0]) == predictor_curves(first, tables, [0.0])
+
     def test_no_consistent_pairs_rejected(self):
         flat = {
             "a": [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5)],

@@ -1,5 +1,7 @@
 """Ranking report contents and annotations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ class TestRankingReport:
         assert loose["top"].improved_systems == ("low", "mid")
         assert loose["mid"].improved_systems == ("low",)
         assert loose["low"].improved_systems == ()
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 1.5, -1.0000001])
+    def test_threshold_outside_unit_range_refused(self, threshold):
+        # No UIR exceeds NaN or inf, so such a threshold would silently
+        # mark no system as improved.
+        with pytest.raises(ValueError, match=r"UIR threshold .* outside \[-1, 1\]"):
+            render_ranking_report(chain_table(), uir_threshold=threshold)
 
     def test_near_baseline_flag_threshold(self):
         # mid beats low on 9 of 10 cases with one reversal: UIR 0.8 < 0.9.
