@@ -26,13 +26,14 @@ from unanimity.data import (
     parse_score_table,
     validate_pair,
 )
-from unanimity.metrics import MetricPair, score_pair
+from unanimity.metrics import MetricPair, metric_pair_columns, score_pair
 from unanimity.experiments import alpha_sweep, predictor_curves, threshold_sweep
 from unanimity.report import render_ranking_report
 from unanimity.stats import categorize_improvement, parametric_uir
 from unanimity.uir import unanimous_improvement_ratio
 
 MAX_GRID_POINTS = 100_000
+METRIC_PAIRS = [pair.value for pair in MetricPair]
 
 # Options that name files the command reads; --output may name none of them.
 INPUT_OPTIONS = ("system", "gold", "scores", "reference", "collections")
@@ -47,8 +48,12 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _load_table(path: str, percent: bool) -> ScoreTable:
-    return parse_score_table(_read(path), percent=percent, collection_id=Path(path).stem)
+def _load_table(path: str, args: argparse.Namespace) -> ScoreTable:
+    """Parse a score CSV, narrowed to the ``--metrics`` pair when one is given."""
+    table = parse_score_table(_read(path), percent=args.percent, collection_id=Path(path).stem)
+    if args.metrics is None:
+        return table
+    return table.select_metrics(metric_pair_columns(table, args.metrics))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -98,7 +103,7 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    table = _load_table(args.scores, args.percent)
+    table = _load_table(args.scores, args)
     result = unanimous_improvement_ratio(table, args.a, args.b)
     lines = [
         f"collection: {table.collection_id}",
@@ -121,7 +126,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _cmd_rank(args: argparse.Namespace) -> str:
-    table = _load_table(args.scores, args.percent)
+    table = _load_table(args.scores, args)
     rows = render_ranking_report(table, args.alpha, args.uir_threshold)
     buf, writer = _csv_writer()
     writer.writerow(
@@ -147,7 +152,7 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 
 def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
-    table = _load_table(args.scores, args.percent)
+    table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     sweep = alpha_sweep(table, grid)
     buf, writer = _csv_writer()
@@ -159,7 +164,7 @@ def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
-    table = _load_table(args.scores, args.percent)
+    table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     rows = threshold_sweep(table, grid, args.alpha, args.significance_level)
     buf, writer = _csv_writer()
@@ -190,7 +195,7 @@ def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
-    collections = [_load_table(path, args.percent) for path in args.collections]
+    collections = [_load_table(path, args) for path in args.collections]
     for path, reference in zip(args.collections, collections):
         if _same_file(path, args.reference):
             break
@@ -223,16 +228,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="scores are percentages; divide by 100 on ingest",
         )
 
+    def add_metric_pair(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--metrics",
+            choices=METRIC_PAIRS,
+            help="narrow the score table to this metric pair",
+        )
+
     def add_table_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scores", required=True, help="score CSV file")
         add_percent(p)
+        add_metric_pair(p)
 
     p = sub.add_parser("eval", help="score system clusterings against a gold standard")
     p.add_argument("--system", action="append", required=True, help="system TSV file (repeatable)")
     p.add_argument("--gold", required=True, help="gold standard TSV file")
     p.add_argument(
         "--metrics",
-        choices=[m.value for m in MetricPair],
+        choices=METRIC_PAIRS,
         default=MetricPair.PURITY_IP.value,
         help="metric pair to compute (default purity_ip)",
     )
@@ -281,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--collections", nargs="+", required=True, help="all collection CSVs"
     )
     add_percent(p)
+    add_metric_pair(p)
     p.add_argument("--grid", default="-1:1:0.05", help="start:stop:step (default -1:1:0.05)")
     p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
     add_common(p)

@@ -127,8 +127,9 @@ def threshold_sweep(
     grid = _check_grid(grid, -1.0, 1.0, "threshold")
     if len(table.systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
-    pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
+    metric_pair_columns(table)  # a wider table is refused before any pair work
     matrix = pairwise_uir_matrix(table)
+    pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
     categories: dict[tuple[str, str], ImprovementCategory] = {}
     for i, a in enumerate(table.systems):
         for b in table.systems[i + 1 :]:
@@ -207,10 +208,10 @@ def predictor_curves(
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
+    matrix = pairwise_uir_matrix(reference)
     target = gold_consistent_pairs(collections, alpha)
     if not target:
         raise ValueError("no gold-consistent pairs across the collections")
-    matrix = pairwise_uir_matrix(reference)
     means = {s: mean_f_measure(reference, s, alpha) for s in reference.systems}
     systems = reference.systems
     pairs = [(a, b) for a in systems for b in systems if a != b]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import accumulate
-from operator import add, sub
+from operator import neg, sub
+from struct import unpack_from
 from typing import NamedTuple
 
 from unanimity.data import ScoreTable
@@ -76,22 +77,36 @@ def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
     if not xs:
         raise ValueError("empty samples")
     d = list(map(sub, xs, ys))
-    magnitudes = Counter(map(abs, d))
-    # A NaN leaves the sort order of the magnitudes undefined.
-    if any(map(math.isnan, magnitudes)):
+    # A NaN leaves the sort order of the differences undefined.
+    if any(map(math.isnan, d)):
         raise ValueError("paired differences must not be NaN")
-    magnitudes.pop(0.0, None)
-    positive = Counter(filter((0.0).__lt__, d))
+    d.sort()
+    # Zeros of either sign sit between the negative and positive runs.
+    lo = bisect_left(d, 0.0)
+    positive = d[bisect_right(d, 0.0, lo) :]
+    # The mirrored negatives and the positives are two ascending runs,
+    # which the sort merges in linear time.
+    magnitudes = [*map(neg, reversed(d[:lo])), *positive]
+    magnitudes.sort()
     sizes = []
     w_plus2 = 0
-    end = 0
-    for value in sorted(magnitudes):
-        size = magnitudes[value]
+    # Every positive difference is one of the magnitudes, so the walk over
+    # the tie groups moves through ``positive`` in step.
+    start = i = 0
+    while start < len(magnitudes):
+        value = magnitudes[start]
+        end = bisect_right(magnitudes, value, start)
+        k = bisect_right(positive, value, i)
+        w_plus2 += (start + end + 1) * (k - i)
+        sizes.append(end - start)
         start = end
-        end += size
-        w_plus2 += (start + end + 1) * positive.get(value, 0)
-        sizes.append(size)
+        i = k
     return tuple(sizes), w_plus2
+
+
+# Width of one coefficient slot in the packed null distribution.  A count is
+# at most 2^n <= 2^EXACT_CUTOFF, so it never carries into the next slot.
+_SLOT_BITS = 32
 
 
 @functools.lru_cache(maxsize=1024)
@@ -101,19 +116,22 @@ def _null_cumulative(sizes: tuple[int, ...]) -> list[int]:
     distribution, which is symmetric.
 
     The distribution is the coefficient list of the product of
-    (1 + z^r) over the doubled ranks r, truncated at the half, since
-    multiplying by (1 + z^r) only moves counts upward.  Cached per tie
+    (1 + z^r) over the doubled ranks r.  The product is built on one
+    integer holding each coefficient in its own ``_SLOT_BITS``-bit slot,
+    so multiplying by (1 + z^r) is one shift and one add.  Cached per tie
     pattern; each entry holds at most 211 counts (n = 20).
     """
     n = sum(sizes)
-    counts = [1] + [0] * (n * (n + 1) // 2)
+    half = n * (n + 1) // 2
+    poly = 1
     start = 0
     for size in sizes:
-        rank2 = 2 * start + size + 1
+        shift = _SLOT_BITS * (2 * start + size + 1)
         for _ in range(size):
-            counts[rank2:] = map(add, counts[rank2:], counts[:-rank2])
+            poly += poly << shift
         start += size
-    return list(accumulate(counts))
+    packed = poly.to_bytes(_SLOT_BITS // 8 * (2 * half + 1), "little")
+    return list(accumulate(unpack_from(f"<{half + 1}I", packed)))
 
 
 def _exact_two_sided_p(sizes: tuple[int, ...], w2_min: int) -> float:
@@ -202,6 +220,7 @@ def categorize_improvement(
 
 
 REGULARIZATION = 1e-9
+_TOO_FEW_SAMPLES = "insufficient samples for parametric UIR (need >= 3 pairs)"
 
 
 class _BivariateNormalFields(NamedTuple):
@@ -256,18 +275,27 @@ def fit_bivariate_normal(deltas) -> BivariateNormalModel:
     except TypeError:
         rows = []
     if len(rows) < 3 or any(len(row) != 2 for row in rows):
-        raise ValueError("insufficient samples for parametric UIR (need >= 3 pairs)")
+        raise ValueError(_TOO_FEW_SAMPLES)
+    delta_p, delta_r = zip(*rows)
+    return _fit(delta_p, delta_r)
+
+
+def _fit(delta_p, delta_r) -> BivariateNormalModel:
+    """``fit_bivariate_normal`` of two equal-length float columns."""
+    n = len(delta_p)
+    if n < 3:
+        raise ValueError(_TOO_FEW_SAMPLES)
     # Explicit loops fix the summation order: builtin sum() of floats
     # compensates since Python 3.12.
-    n = len(rows)
     mean_p = mean_r = 0.0
-    for p, r in rows:
+    for p in delta_p:
         mean_p += p
+    for r in delta_r:
         mean_r += r
     mean_p /= n
     mean_r /= n
     c00 = c01 = c11 = 0.0
-    for p, r in rows:
+    for p, r in zip(delta_p, delta_r):
         dp = p - mean_p
         dr = r - mean_r
         c00 += dp * dp
@@ -435,7 +463,7 @@ def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     fitted difference, which mirrors the mean and keeps the covariance.
     """
     p_col, r_col = metric_pair_columns(table)
-    delta_p = map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col))
-    delta_r = map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col))
-    model = fit_bivariate_normal(list(zip(delta_p, delta_r)))
+    delta_p = list(map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col)))
+    delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
+    model = _fit(delta_p, delta_r)
     return orthant_probability(model) - orthant_probability(model.mirrored())

@@ -10,11 +10,14 @@ robustly one system beats another regardless of metric weighting.
 from __future__ import annotations
 
 from enum import Enum
-from operator import and_, ge, le
+from operator import ge, le
 from typing import Mapping, NamedTuple, Sequence
 
 from unanimity.data import Column, MetricVector, ScoreTable
 from unanimity.metrics import mean_f_measure
+
+# Ordered system pairs a pairwise computation may take on: 1000 systems.
+MAX_PAIRS = 1_000_000
 
 
 class RelationOutcome(Enum):
@@ -76,15 +79,19 @@ def _columns(table: ScoreTable, system: str) -> list[Column]:
 
 def _uir(cols_a: Sequence[Column], cols_b: Sequence[Column]) -> UirResult:
     """UIR from two systems' score columns: a case counts for a when a >= b
-    on every metric, for b when b >= a on every metric, for both on a tie."""
+    on every metric, for b when b >= a on every metric, for both on a tie.
+
+    Each metric's per-case verdicts become one integer, a byte per case, so
+    the AND over metrics and the counts run on whole columns at once.
+    """
     n_total = len(cols_a[0])
-    a_geq = b_geq = [True] * n_total
+    a_geq = b_geq = -1
     for col_a, col_b in zip(cols_a, cols_b):
-        a_geq = list(map(and_, a_geq, map(ge, col_a, col_b)))
-        b_geq = list(map(and_, b_geq, map(le, col_a, col_b)))
-    n_a = sum(a_geq)
-    n_b = sum(b_geq)
-    n_inc = n_total - n_a - n_b + sum(map(and_, a_geq, b_geq))
+        a_geq &= int.from_bytes(bytes(map(ge, col_a, col_b)), "little")
+        b_geq &= int.from_bytes(bytes(map(le, col_a, col_b)), "little")
+    n_a = a_geq.bit_count()
+    n_b = b_geq.bit_count()
+    n_inc = n_total - n_a - n_b + (a_geq & b_geq).bit_count()
     return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
 
 
@@ -97,9 +104,17 @@ def unanimous_improvement_ratio(
 
 def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
     """All ordered system pairs.  Mirrored entries are built by reversal, so
-    antisymmetry of the ratio holds exactly by construction."""
-    matrix: dict[tuple[str, str], UirResult] = {}
+    antisymmetry of the ratio holds exactly by construction.  A table with
+    more than ``MAX_PAIRS`` ordered pairs raises ``ValueError`` before any
+    pair is computed."""
     systems = table.systems
+    n_pairs = len(systems) * (len(systems) - 1)
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(
+            f"table has {len(systems)} systems, {n_pairs} ordered pairs; "
+            f"at most {MAX_PAIRS} are allowed"
+        )
+    matrix: dict[tuple[str, str], UirResult] = {}
     columns = {system: _columns(table, system) for system in systems}
     for i, sys_a in enumerate(systems):
         for sys_b in systems[i + 1 :]:

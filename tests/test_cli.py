@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -388,6 +389,114 @@ class TestPredict:
         assert run(b, a, b, c) == run(b, b, a, c)
         assert run(a, b, a, c) == run(a, a, b, c)
         assert run(str(tmp_path / "b" / "." / "x.csv"), a, b, c) == run(b, b, a, c)
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPairLimit:
+    """A table with more than MAX_PAIRS ordered system pairs is refused
+    before any pair list or matrix is built."""
+
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        rows = ["test_case,system,metric,score"]
+        for j in range(1001):
+            rows += [f"c0,s{j:04d},purity,0.5", f"c0,s{j:04d},inverse_purity,0.5"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["rank", "threshold-sweep", "predict"])
+    def test_1001_systems_refused_quickly(self, wide_csv, command, capsys):
+        if command == "predict":
+            argv = [command, "--reference", wide_csv, "--collections", wide_csv, wide_csv]
+        else:
+            argv = [command, "--scores", wide_csv]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid: table has 1001 systems, 1001000 ordered pairs")
+        assert elapsed < 1.0
+
+
+class TestMetricsOption:
+    """``--metrics`` narrows a score CSV that holds both metric pairs, as
+    two ``eval`` runs over the same cases write it."""
+
+    # Per case: gold, system A and system B, as "cluster item" memberships.
+    CASES = {
+        "q1": ("g1 a, g1 b, g2 c, g2 d", "c1 a, c1 b, c1 c, c2 d", "k1 a, k2 b, k3 c, k3 d"),
+        "q2": ("g1 a, g2 b, g2 c, g3 d", "c1 a, c1 b, c2 c, c2 d", "k1 a, k1 b, k1 c, k1 d"),
+        "q3": ("g1 a, g1 b, g1 c, g2 d", "c1 a, c2 b, c2 c, c3 d", "k1 a, k1 b, k2 c, k2 d"),
+    }
+
+    @pytest.fixture
+    def score_files(self, tmp_path, capsys):
+        """Per metric pair, and for both pairs together: a score CSV named
+        ``run.csv`` in its own directory, so every table has one collection id."""
+        parts = {"purity_ip": [], "bcubed": []}
+        for case, (gold, sys_a, sys_b) in self.CASES.items():
+            files = []
+            for name, memberships in (("gold", gold), ("A", sys_a), ("B", sys_b)):
+                path = tmp_path / case / f"{name}.tsv"
+                path.parent.mkdir(exist_ok=True)
+                lines = (m.replace(" ", "\t") + "\n" for m in memberships.split(", "))
+                path.write_text("".join(lines), encoding="utf-8")
+                files.append(str(path))
+            for pair, rows in parts.items():
+                argv = ["eval", "--gold", files[0], "--system", files[1], "--system", files[2]]
+                code, out, _ = run_cli(capsys, argv + ["--metrics", pair, "--case-id", case])
+                assert code == 0
+                rows += out.splitlines()[1:]
+        header = "test_case,system,metric,score"
+        paths = {}
+        for name, rows in [*parts.items(), ("both", parts["purity_ip"] + parts["bcubed"])]:
+            path = tmp_path / name / "run.csv"
+            path.parent.mkdir()
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            paths[name] = str(path)
+        return paths
+
+    COMMANDS = [
+        ["rank"],
+        ["compare", "--a", "A", "--b", "B", "--parametric"],
+        ["alpha-sweep", "--grid", "0:1:0.25"],
+        ["threshold-sweep", "--grid=-1:1:0.5"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_table_commands(self, score_files, command, capsys):
+        both = [*command, "--scores", score_files["both"]]
+        code, _, err = run_cli(capsys, both)
+        assert code == 1
+        assert err == "error: invalid: table has 4 metrics; narrow it to one metric pair first\n"
+        for pair in ("purity_ip", "bcubed"):
+            narrowed = run_cli(capsys, [*both, "--metrics", pair])
+            assert narrowed[0] == 0
+            assert narrowed == run_cli(capsys, [*command, "--scores", score_files[pair]])
+
+    def test_predict(self, score_files, capsys):
+        def predict(path, *extra):
+            argv = ["predict", "--grid=-1:1:0.5", "--reference", path, "--collections", path, path]
+            return run_cli(capsys, [*argv, *extra])
+
+        code, _, err = predict(score_files["both"])
+        assert code == 1 and "narrow it to one metric pair first" in err
+        for pair in ("purity_ip", "bcubed"):
+            narrowed = predict(score_files["both"], "--metrics", pair)
+            assert narrowed[0] == 0
+            assert narrowed == predict(score_files[pair])
+
+    def test_without_the_pair_refused(self, score_files, capsys):
+        argv = ["rank", "--scores", score_files["bcubed"], "--metrics", "purity_ip"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == "error: invalid: table lacks metric(s) purity, inverse_purity\n"
 
 
 class TestByteOrderMark:
