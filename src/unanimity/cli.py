@@ -44,8 +44,18 @@ def _fmt(value: float) -> str:
 
 
 def _read(path: str) -> str:
-    # utf-8-sig drops the byte order mark that spreadsheet exports write.
-    return Path(path).read_text(encoding="utf-8-sig")
+    """The file's text.  Decoding the bytes, rather than reading in text
+    mode, leaves every CR for the parsers, which split lines themselves."""
+    data = Path(path).read_bytes()
+    try:
+        # utf-8-sig drops the byte order mark that spreadsheet exports write.
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what followed a dropped byte order mark.
+        offset = exc.start + len(data) - len(exc.object)
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte 0x{data[offset]:02x} at offset {offset})"
+        ) from None
 
 
 def _load_table(path: str, args: argparse.Namespace) -> ScoreTable:

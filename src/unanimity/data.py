@@ -127,10 +127,15 @@ def _read_lines(source: str | TextIO) -> list[str]:
 
     ``str.splitlines()`` would also end a line at form feeds, separators
     such as U+001C and U+2028, and NEL; those stay inside the line, so that
-    line numbers match the file's.
+    line numbers match the file's.  Any other CR is refused: csv would end
+    a record there.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.replace("\r\n", "\n").split("\n")
+    text = text.replace("\r\n", "\n")
+    cr = text.find("\r")
+    if cr >= 0:
+        raise ParseError("carriage return inside a line", line=text.count("\n", 0, cr) + 1)
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -271,27 +276,36 @@ def _build_columns(
     with one tuple of scores in case order per (system, metric).
     """
     cases: dict[str, None] = {}
-    systems: dict[str, None] = {}
     metrics: dict[str, None] = {}
-    scores: dict[tuple[str, str, str], float] = {}
+    filed: dict[tuple[str, str], dict[str, float]] = {}
     for line, case, system, metric, value in rows:
         if not case or not system or not metric:
             raise error("empty test_case, system or metric field", line)
         value = float(value)
         if not 0.0 <= value <= 1.0:
             raise error(f"score {value} outside [0, 1] for ({case}, {system}, {metric})", line)
-        key = (case, system, metric)
-        if key in scores:
+        column = filed.get((system, metric))
+        if column is None:
+            column = filed[system, metric] = {}
+            metrics[metric] = None
+        elif case in column:
             raise error(f"duplicate score for ({case}, {system}, {metric})", line)
-        scores[key] = value
-        cases[case] = systems[system] = metrics[metric] = None
-    if not scores:
+        column[case] = value
+        cases[case] = None
+    if not filed:
         raise error("no scores", None)
+    systems = dict.fromkeys(system for system, _ in filed)
     # Duplicates are rejected above, so a short count means a missing score.
-    if len(scores) != len(cases) * len(systems) * len(metrics):
-        missing = next(k for k in itertools.product(cases, systems, metrics) if k not in scores)
+    if sum(map(len, filed.values())) != len(cases) * len(systems) * len(metrics):
+        missing = next(
+            (c, s, m)
+            for c, s, m in itertools.product(cases, systems, metrics)
+            if c not in filed.get((s, m), ())
+        )
         raise error("missing score for ({}, {}, {})".format(*missing), None)
-    columns = {(s, m): tuple([scores[c, s, m] for c in cases]) for s in systems for m in metrics}
+    columns = {
+        (s, m): tuple(map(filed[s, m].__getitem__, cases)) for s in systems for m in metrics
+    }
     return tuple(cases), tuple(systems), tuple(metrics), columns
 
 
@@ -400,6 +414,7 @@ class ScoreTable(_Value):
 
 
 SCORE_HEADER = ("test_case", "system", "metric", "score")
+_SPANS_LINES = "quoted field spans lines"
 
 
 def parse_score_table(
@@ -417,7 +432,9 @@ def parse_score_table(
     header = next(rows, None)
     if header is None:
         raise ParseError("empty score file")
-    header = tuple(part.strip() for part in header)
+    if rows.line_num != 1:
+        raise ParseError(_SPANS_LINES, line=1)
+    header = tuple(map(str.strip, header))
     if header != SCORE_HEADER:
         raise ParseError(
             f"expected header {','.join(SCORE_HEADER)}, got {','.join(header)}",
@@ -426,11 +443,14 @@ def parse_score_table(
 
     def scores():
         for lineno, row in enumerate(rows, start=2):
+            # A record that read past its own line has a quoted line break.
+            if rows.line_num != lineno:
+                raise ParseError(_SPANS_LINES, line=lineno)
             if not row:
                 continue
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            case, system, metric, text = (part.strip() for part in row)
+            case, system, metric, text = map(str.strip, row)
             try:
                 value = float(text)
             except ValueError:

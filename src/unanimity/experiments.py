@@ -86,7 +86,7 @@ def alpha_sweep(
     for system in systems:
         precision = table.scores_for(system, p_col)
         recall = table.scores_for(system, r_col)
-        curves[system] = tuple(_mean_f(precision, recall, alpha) for alpha in grid)
+        curves[system] = tuple(_mean_f(precision, recall, grid))
     return AlphaSweep(grid, curves)
 
 

@@ -48,19 +48,19 @@ def _labels_by_item(clustering: Clustering) -> dict[str, list[str]]:
     return labels
 
 
-def purity(system: Clustering, gold: GoldStandard) -> float:
-    """Membership-weighted average of each cluster's best category precision.
+def _purity_pair(system: Clustering, gold: GoldStandard) -> tuple[float, float]:
+    """Purity and inverse purity from one table of overlap counts |c & g|.
 
-    Weights are cluster sizes over the system's total membership count, so
-    they form a distribution even when clusters overlap.  Each cluster's
-    overlap counts |c & g| come from one pass over its items, so the whole
-    score costs O(memberships); a cluster with no gold item scores 0.
+    Purity takes each cluster's row maximum, inverse purity each category's
+    maximum over the rows.  A cluster with no gold item, or a category no
+    cluster reaches, scores 0.
     """
     _check_nonempty(system, gold)
     categories_of = _labels_by_item(gold)
-    n = system.n
-    total = 0.0
-    # Fixed label order keeps the float sum reproducible across runs.
+    n, n_gold = system.n, gold.n
+    total = inverse = 0.0
+    cover: dict[str, int] = {}
+    # Fixed label order keeps the float sums reproducible across runs.
     for label in system.labels:
         cluster = system.clusters[label]
         # Items outside gold map to None and are dropped by filter().
@@ -68,7 +68,24 @@ def purity(system: Clustering, gold: GoldStandard) -> float:
         # max(k) / |c| equals max(k / |c|): dividing by |c| > 0 keeps order.
         best = max(row.values()) / len(cluster) if row else 0.0
         total += len(cluster) / n * best
-    return total
+        for category, k in row.items():
+            if k > cover.get(category, 0):
+                cover[category] = k
+    for label in gold.labels:
+        category = gold.clusters[label]
+        best = cover[label] / len(category) if label in cover else 0.0
+        inverse += len(category) / n_gold * best
+    return total, inverse
+
+
+def purity(system: Clustering, gold: GoldStandard) -> float:
+    """Membership-weighted average of each cluster's best category precision.
+
+    Weights are cluster sizes over the system's total membership count, so
+    they form a distribution even when clusters overlap.  The score costs
+    O(memberships).
+    """
+    return _purity_pair(system, gold)[0]
 
 
 def inverse_purity(system: Clustering, gold: GoldStandard) -> float:
@@ -77,8 +94,7 @@ def inverse_purity(system: Clustering, gold: GoldStandard) -> float:
     Exactly purity with the roles swapped: categories are weighted by their
     share of gold memberships and scored by the best covering cluster.
     """
-    _check_nonempty(system, gold)
-    return purity(gold, system)
+    return _purity_pair(system, gold)[1]
 
 
 def _single_assignment(clustering: Clustering) -> dict[str, str]:
@@ -106,15 +122,29 @@ def _bcubed_counts(
     return cluster_of, category_of, counts
 
 
-def bcubed_precision(system: Clustering, gold: GoldStandard) -> float:
-    """Mean over clustered items of the in-cluster same-category fraction."""
+def _bcubed_pair(system: Clustering, gold: GoldStandard) -> tuple[float, float]:
+    """BCubed precision and recall from one count and one sorted walk.
+
+    Every system item is a gold item, so the walk over the gold items meets
+    the system items in their own sorted order.
+    """
     cluster_of, category_of, counts = _bcubed_counts(system, gold)
     clusters = system.clusters
-    total = 0.0
-    for item in sorted(cluster_of):
-        c = cluster_of[item]
-        total += counts[c, category_of[item]] / len(clusters[c])
-    return total / len(cluster_of)
+    categories = gold.clusters
+    precision = recall = 0.0
+    for item in sorted(category_of):
+        c = cluster_of.get(item)
+        if c is not None:
+            g = category_of[item]
+            k = counts[c, g]
+            precision += k / len(clusters[c])
+            recall += k / len(categories[g])
+    return precision / len(cluster_of), recall / len(category_of)
+
+
+def bcubed_precision(system: Clustering, gold: GoldStandard) -> float:
+    """Mean over clustered items of the in-cluster same-category fraction."""
+    return _bcubed_pair(system, gold)[0]
 
 
 def bcubed_recall(system: Clustering, gold: GoldStandard) -> float:
@@ -122,15 +152,7 @@ def bcubed_recall(system: Clustering, gold: GoldStandard) -> float:
 
     Gold items the system never clustered contribute zero.
     """
-    cluster_of, category_of, counts = _bcubed_counts(system, gold)
-    categories = gold.clusters
-    total = 0.0
-    for item in sorted(category_of):
-        g = category_of[item]
-        c = cluster_of.get(item)
-        if c is not None:
-            total += counts[c, g] / len(categories[g])
-    return total / len(category_of)
+    return _bcubed_pair(system, gold)[1]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -207,16 +229,8 @@ def score_pair(
 ) -> MetricVector:
     """Evaluate one system against one gold standard on the chosen metric pair."""
     pair = MetricPair(pair)
-    if pair is MetricPair.PURITY_IP:
-        return MetricVector(
-            {"purity": purity(system, gold), "inverse_purity": inverse_purity(system, gold)}
-        )
-    return MetricVector(
-        {
-            "bcubed_precision": bcubed_precision(system, gold),
-            "bcubed_recall": bcubed_recall(system, gold),
-        }
-    )
+    scores = (_purity_pair if pair is MetricPair.PURITY_IP else _bcubed_pair)(system, gold)
+    return MetricVector(dict(zip(PAIR_COLUMNS[pair], scores)))
 
 
 def metric_pair_columns(
@@ -242,23 +256,32 @@ def metric_pair_columns(
     return names
 
 
-def _mean_f(precision: Sequence[float], recall: Sequence[float], alpha: float) -> float:
-    """Mean ``f_measure`` over paired score columns: the same per-case values,
-    summed left to right, as callers compare the results with ``==``."""
-    _check_alpha(alpha)
-    total = 0.0
-    if alpha == 0.0 or alpha == 1.0:
-        for value in recall if alpha == 0.0 else precision:
-            total += value
-    else:
-        beta = 1.0 - alpha
-        for p, r in zip(precision, recall):
-            if p and r:  # else F is 0, and adding 0.0 changes nothing
+def _mean_f(
+    precision: Sequence[float], recall: Sequence[float], alphas: Sequence[float]
+) -> list[float]:
+    """Mean ``f_measure`` over paired score columns at each alpha: the same
+    per-case values, summed left to right, as callers compare the results
+    with ``==``."""
+    for alpha in alphas:
+        _check_alpha(alpha)
+    # F is 0 where p or r is, and adding 0.0 changes nothing.
+    positive = [(p, r) for p, r in zip(precision, recall) if p and r]
+    means = []
+    for alpha in alphas:
+        total = 0.0
+        if alpha == 0.0 or alpha == 1.0:
+            for value in recall if alpha == 0.0 else precision:
+                total += value
+        else:
+            beta = 1.0 - alpha
+            for p, r in positive:
                 total += 1.0 / (alpha / p + beta / r)
-    return total / len(precision)
+        means.append(total / len(precision))
+    return means
 
 
 def mean_f_measure(table: ScoreTable, system: str, alpha: float = 0.5) -> float:
     """Mean over test cases of the per-case F of one system."""
     p_col, r_col = metric_pair_columns(table)
-    return _mean_f(table.scores_for(system, p_col), table.scores_for(system, r_col), alpha)
+    precision, recall = table.scores_for(system, p_col), table.scores_for(system, r_col)
+    return _mean_f(precision, recall, (alpha,))[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from enum import Enum
 from itertools import accumulate
 from operator import neg, sub
@@ -145,7 +146,7 @@ def _exact_two_sided_p(sizes: tuple[int, ...], w2_min: int) -> float:
 
 def _approx_two_sided_p(sizes: tuple[int, ...], w_min: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
-    tie_term = float(sum(size**3 - size for size in sizes))
+    tie_term = float(sum((size**3 - size) * k for size, k in Counter(sizes).items()))
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     # w_min <= mean, so the continuity correction moves toward the mean.
     z = (w_min - mean + 0.5) / math.sqrt(var)

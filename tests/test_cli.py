@@ -540,6 +540,48 @@ class TestByteOrderMark:
         assert "gold,sys,inverse_purity,0.500000" in first[0]
 
 
+class TestInputText:
+    """Input bytes that are not UTF-8 text, and line ends the parsers refuse."""
+
+    def test_non_utf8_named_with_byte_and_offset(
+        self, tmp_path, clustering_files, collections, capsys
+    ):
+        gold, sys_a, _ = clustering_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"g1\tab\xffc\n")
+        marked = tmp_path / "marked.txt"
+        # The offset counts the byte order mark the decoder drops.
+        marked.write_bytes(b"\xef\xbb\xbfg1\tab\xfec\n")
+        cases = [
+            (["eval", "--gold", str(bad), "--system", sys_a], bad, "0xff", 5),
+            (["eval", "--gold", gold, "--system", str(marked)], marked, "0xfe", 8),
+            (["rank", "--scores", str(bad)], bad, "0xff", 5),
+            (
+                ["predict", "--reference", collections[0],
+                 "--collections", collections[0], str(bad)],
+                bad,
+                "0xff",
+                5,
+            ),
+        ]
+        for argv, path, byte, offset in cases:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: parse: {path}: not UTF-8 text (byte {byte} at offset {offset})\n"
+            )
+
+    def test_carriage_return_line_ends_refused(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        text = serialize_score_table(two_system_table())
+        path.write_bytes(text.replace("\n", "\r").encode())
+        assert main(["rank", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: parse: line 1: carriage return inside a line\n"
+        )
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert main(["rank", "--scores", str(path)]) == 0
+
+
 class TestParserBasics:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

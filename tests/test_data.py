@@ -258,6 +258,40 @@ class TestParseScoreTable:
         with pytest.raises(ParseError, match="line 3: bad score"):
             parse_score_table("test_case,system,metric,score\r\nc,s,p,0.5\r\nc,s,r,x")
 
+    def test_quoted_line_break_refused_at_its_first_line(self):
+        # csv would join the two lines into the metric "purity" and number
+        # every later line one too low.
+        text = (
+            "test_case,system,metric,score\n"
+            "c1,s1,p,0.5\n"
+            'c1,s1,"pur\nity",0.5\n'
+            "c1,s1,r,bad\n"
+        )
+        with pytest.raises(ParseError, match="line 3: quoted field spans lines"):
+            parse_score_table(text)
+        with pytest.raises(ParseError, match="line 3: quoted field spans lines"):
+            parse_score_table(text.replace("\n", "\r\n"))
+        with pytest.raises(ParseError, match="line 1: quoted field spans lines"):
+            parse_score_table('"test_\ncase",system,metric,score\nc1,s1,p,0.5\n')
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("test_case,system,metric,score\nc1,s1,p\r,0.5\nc1,s1,r,0.5\n", 2),
+            ("test_case,system,metric,score\nc1,s1,p,0.5\nc1,s1,r,0.5\rc2,s1,p,1\n", 3),
+            ('test_case,system,metric,score\r\nc1,s1,"p\rq",0.5\r\n', 2),
+            # A file whose lines end in CR alone.
+            ("test_case,system,metric,score\rc1,s1,p,0.5\r", 1),
+        ],
+    )
+    def test_carriage_return_inside_a_line_refused(self, text, line):
+        with pytest.raises(ParseError, match="carriage return inside a line") as info:
+            parse_score_table(text)
+        assert info.value.line == line
+        # Clusterings follow the same rule, in labels as in items.
+        with pytest.raises(ParseError, match=f"line {line}: carriage return"):
+            parse_clustering(text.replace(",", "\t", 1))
+
     def test_first_appearance_order(self):
         text = (
             "test_case,system,metric,score\n"
