@@ -10,8 +10,6 @@ are deterministic: the same inputs yield byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import stat
@@ -19,15 +17,17 @@ import sys
 from pathlib import Path
 
 from unanimity.data import (
+    SCORE_HEADER,
     ParseError,
     ScoreTable,
     ValidationError,
+    _csv_text,
     parse_clustering,
     parse_score_table,
     validate_pair,
 )
 from unanimity.metrics import MetricPair, metric_pair_columns, score_pair
-from unanimity.experiments import alpha_sweep, predictor_curves, threshold_sweep
+from unanimity.experiments import ThresholdSweepRow, alpha_sweep, predictor_curves, threshold_sweep
 from unanimity.report import render_ranking_report
 from unanimity.stats import categorize_improvement, parametric_uir
 from unanimity.uir import unanimous_improvement_ratio
@@ -89,17 +89,11 @@ def _parse_grid(text: str) -> list[float]:
     return [round(start + i * step, 12) for i in range(int(steps) + 1)]
 
 
-def _csv_writer():
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
-
-
 def _cmd_eval(args: argparse.Namespace) -> str:
     gold = parse_clustering(_read(args.gold))
     case_id = args.case_id or Path(args.gold).stem
     pair = MetricPair(args.metrics)
-    buf, writer = _csv_writer()
-    writer.writerow(("test_case", "system", "metric", "score"))
+    rows = []
     for path in args.system:
         system = parse_clustering(_read(path))
         report = validate_pair(system, gold, strict=args.strict)
@@ -107,9 +101,8 @@ def _cmd_eval(args: argparse.Namespace) -> str:
         for note in report.notes:
             print(f"warning: {system_id}: {note}", file=sys.stderr)
         vector = score_pair(system, gold, pair)
-        for name in vector.names:
-            writer.writerow((case_id, system_id, name, _fmt(vector[name])))
-    return buf.getvalue()
+        rows.extend((case_id, system_id, name, _fmt(vector[name])) for name in vector.names)
+    return _csv_text(SCORE_HEADER, rows)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -138,10 +131,6 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 def _cmd_rank(args: argparse.Namespace) -> str:
     table = _load_table(args.scores, args)
     rows = render_ranking_report(table, args.alpha, args.uir_threshold)
-    buf, writer = _csv_writer()
-    writer.writerow(
-        ("system", "mean_f", "improved_systems", "reference_system", "reference_uir")
-    )
     for row in rows:
         if row.near_baseline:
             print(
@@ -149,59 +138,40 @@ def _cmd_rank(args: argparse.Namespace) -> str:
                 f"{row.reference_system} (UIR {row.reference_uir:g})",
                 file=sys.stderr,
             )
-        writer.writerow(
-            (
-                row.system,
-                _fmt(row.mean_f),
-                " ".join(row.improved_systems),
-                row.reference_system if row.reference_system is not None else "-",
-                _fmt(row.reference_uir) if row.reference_uir is not None else "-",
-            )
+    header = ("system", "mean_f", "improved_systems", "reference_system", "reference_uir")
+    fields = (
+        (
+            row.system,
+            _fmt(row.mean_f),
+            " ".join(row.improved_systems),
+            row.reference_system if row.reference_system is not None else "-",
+            _fmt(row.reference_uir) if row.reference_uir is not None else "-",
         )
-    return buf.getvalue()
+        for row in rows
+    )
+    return _csv_text(header, fields)
 
 
 def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
     table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     sweep = alpha_sweep(table, grid)
-    buf, writer = _csv_writer()
-    writer.writerow(("system", "alpha", "mean_f"))
-    for system in table.systems:
-        for alpha, value in zip(sweep.alphas, sweep.curves[system]):
-            writer.writerow((system, _fmt(alpha), _fmt(value)))
-    return buf.getvalue()
+    rows = (
+        (system, _fmt(alpha), _fmt(value))
+        for system in table.systems
+        for alpha, value in zip(sweep.alphas, sweep.curves[system])
+    )
+    return _csv_text(("system", "alpha", "mean_f"), rows)
 
 
 def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
     table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     rows = threshold_sweep(table, grid, args.alpha, args.significance_level)
-    buf, writer = _csv_writer()
-    writer.writerow(
-        (
-            "t",
-            "accepted_ratio",
-            "concordant_ratio",
-            "opposite_ratio",
-            "all_alpha_ratio",
-            "f05_ratio",
-            "n_accepted",
-        )
+    # Every field but the closing count is a ratio or a threshold.
+    return _csv_text(
+        ThresholdSweepRow._fields, ((*map(_fmt, row[:-1]), row.n_accepted) for row in rows)
     )
-    for row in rows:
-        writer.writerow(
-            (
-                _fmt(row.t),
-                _fmt(row.accepted_ratio),
-                _fmt(row.concordant_ratio),
-                _fmt(row.opposite_ratio),
-                _fmt(row.all_alpha_ratio),
-                _fmt(row.f05_ratio),
-                row.n_accepted,
-            )
-        )
-    return buf.getvalue()
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
@@ -213,12 +183,12 @@ def _cmd_predict(args: argparse.Namespace) -> str:
         raise ValueError("reference collection must be among the collections")
     grid = _parse_grid(args.grid)
     curves = predictor_curves(reference, collections, grid, args.alpha)
-    buf, writer = _csv_writer()
-    writer.writerow(("predictor", "t", "precision", "recall"))
-    for curve in curves:
-        for t, precision, recall in curve.points:
-            writer.writerow((curve.predictor.value, _fmt(t), _fmt(precision), _fmt(recall)))
-    return buf.getvalue()
+    rows = (
+        (curve.predictor.value, _fmt(t), _fmt(precision), _fmt(recall))
+        for curve in curves
+        for t, precision, recall in curve.points
+    )
+    return _csv_text(("predictor", "t", "precision", "recall"), rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,6 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
         add_percent(p)
         add_metric_pair(p)
 
+    def add_grid(p: argparse.ArgumentParser, default: str) -> None:
+        p.add_argument("--grid", default=default, help=f"start:stop:step (default {default})")
+
+    def add_alpha(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
+
+    def add_significance_level(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--significance-level", type=float, default=0.05)
+
     p = sub.add_parser("eval", help="score system clusterings against a gold standard")
     p.add_argument("--system", action="append", required=True, help="system TSV file (repeatable)")
     p.add_argument("--gold", required=True, help="gold standard TSV file")
@@ -271,20 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parametric", action="store_true", help="add the parametric UIR estimate"
     )
-    p.add_argument("--significance-level", type=float, default=0.05)
+    add_significance_level(p)
     add_common(p)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("rank", help="mean-F ranking annotated with UIR data")
     add_table_input(p)
-    p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
+    add_alpha(p)
     p.add_argument("--uir-threshold", type=float, default=0.25)
     add_common(p)
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("alpha-sweep", help="mean-F curves over the alpha grid")
     add_table_input(p)
-    p.add_argument("--grid", default="0:1:0.01", help="start:stop:step (default 0:1:0.01)")
+    add_grid(p, "0:1:0.01")
     add_common(p)
     p.set_defaults(handler=_cmd_alpha_sweep)
 
@@ -292,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "threshold-sweep", help="accepted-pair profile over UIR thresholds"
     )
     add_table_input(p)
-    p.add_argument("--grid", default="-1:1:0.05", help="start:stop:step (default -1:1:0.05)")
-    p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
-    p.add_argument("--significance-level", type=float, default=0.05)
+    add_grid(p, "-1:1:0.05")
+    add_alpha(p)
+    add_significance_level(p)
     add_common(p)
     p.set_defaults(handler=_cmd_threshold_sweep)
 
@@ -305,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_percent(p)
     add_metric_pair(p)
-    p.add_argument("--grid", default="-1:1:0.05", help="start:stop:step (default -1:1:0.05)")
-    p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
+    add_grid(p, "-1:1:0.05")
+    add_alpha(p)
     add_common(p)
     p.set_defaults(handler=_cmd_predict)
 

@@ -12,7 +12,7 @@ import csv
 import io
 import itertools
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 
 class ParseError(ValueError):
@@ -429,6 +429,16 @@ def parse_score_table(
     [0, 1] after rescaling are rejected.
     """
     rows = csv.reader(_read_lines(source))
+    try:
+        columns = _build_columns(_score_rows(rows, percent), ParseError)
+    except csv.Error as exc:
+        # Such as a field longer than csv.field_size_limit().
+        raise ParseError(str(exc), line=rows.line_num) from None
+    return ScoreTable._of(collection_id, *columns)
+
+
+def _score_rows(rows, percent: bool) -> Iterator[tuple[int, str, str, str, float]]:
+    """The ``(line, case, system, metric, score)`` records after a checked header."""
     header = next(rows, None)
     if header is None:
         raise ParseError("empty score file")
@@ -440,33 +450,37 @@ def parse_score_table(
             f"expected header {','.join(SCORE_HEADER)}, got {','.join(header)}",
             line=1,
         )
+    for lineno, row in enumerate(rows, start=2):
+        # A record that read past its own line has a quoted line break.
+        if rows.line_num != lineno:
+            raise ParseError(_SPANS_LINES, line=lineno)
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+        case, system, metric, text = map(str.strip, row)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"bad score {text!r}", line=lineno) from None
+        yield lineno, case, system, metric, value / 100.0 if percent else value
 
-    def scores():
-        for lineno, row in enumerate(rows, start=2):
-            # A record that read past its own line has a quoted line break.
-            if rows.line_num != lineno:
-                raise ParseError(_SPANS_LINES, line=lineno)
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            case, system, metric, text = map(str.strip, row)
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"bad score {text!r}", line=lineno) from None
-            yield lineno, case, system, metric, value / 100.0 if percent else value
 
-    return ScoreTable._of(collection_id, *_build_columns(scores(), ParseError))
+def _csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """The header and rows as CSV text with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def serialize_score_table(table: ScoreTable) -> str:
     """Long-format CSV that parses back to an equal table (repr-exact scores)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_HEADER)
-    for i, case in enumerate(table.cases):
-        for system in table.systems:
-            for name in table.metric_names:
-                writer.writerow([case, system, name, repr(table.scores_for(system, name)[i])])
-    return buf.getvalue()
+    rows = (
+        (case, system, name, repr(table.scores_for(system, name)[i]))
+        for i, case in enumerate(table.cases)
+        for system in table.systems
+        for name in table.metric_names
+    )
+    return _csv_text(SCORE_HEADER, rows)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, categorize_improvement, parametric_uir
-from unanimity.uir import pairwise_uir_matrix
+from unanimity.uir import pairwise_uir_matrix, robust_set_f
 
 ALPHA_GRID_POINTS = 101
 
@@ -127,7 +127,7 @@ def threshold_sweep(
     grid = _check_grid(grid, -1.0, 1.0, "threshold")
     if len(table.systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
-    metric_pair_columns(table)  # a wider table is refused before any pair work
+    p_col, r_col = metric_pair_columns(table)  # a wider table is refused before any pair work
     matrix = pairwise_uir_matrix(table)
     pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
     categories: dict[tuple[str, str], ImprovementCategory] = {}
@@ -135,8 +135,13 @@ def threshold_sweep(
         for b in table.systems[i + 1 :]:
             category = categorize_improvement(table, a, b, significance_level)
             categories[(a, b)] = categories[(b, a)] = category
-    curves = alpha_sweep(table, alpha_grid()).curves
-    means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
+    alphas = (*alpha_grid(), alpha)
+    curves: dict[str, list[float]] = {}
+    means: dict[str, float] = {}
+    for s in table.systems:
+        # One pass per system: the mean F at every grid alpha, then at ``alpha``.
+        precision, recall = table.scores_for(s, p_col), table.scores_for(s, r_col)
+        *curves[s], means[s] = _mean_f(precision, recall, alphas)
     flags = (
         [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs],
         [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs],
@@ -155,24 +160,15 @@ def gold_consistent_pairs(
     tables: Sequence[ScoreTable],
     alpha: float = 0.5,
 ) -> set[tuple[str, str]]:
-    """Ordered system pairs whose mean-F gap is positive in every collection."""
+    """Ordered system pairs whose mean-F gap is positive in every collection:
+    the intersection of ``robust_set_f(table, 0.0, alpha)`` over the tables."""
     if len(tables) < 2:
         raise ValueError("need at least 2 collections")
     base = set(tables[0].systems)
     for table in tables[1:]:
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
-    means = [
-        {s: mean_f_measure(table, s, alpha) for s in table.systems}
-        for table in tables
-    ]
-    systems = tables[0].systems
-    out: set[tuple[str, str]] = set()
-    for a in systems:
-        for b in systems:
-            if a != b and all(m[a] > m[b] for m in means):
-                out.add((a, b))
-    return out
+    return set.intersection(*(robust_set_f(table, 0.0, alpha) for table in tables))
 
 
 class Predictor(str, Enum):

@@ -201,12 +201,10 @@ def baseline_all_in_one(items: Iterable[str]) -> Clustering:
 
 def baseline_combined(items: Iterable[str]) -> Clustering:
     """Union of the two trivial baselines; overlapping by construction."""
-    items = sorted(set(items))
-    if not items:
-        raise ValueError("empty item set")
-    clusters = {f"b1_{item}": frozenset({item}) for item in items}
-    clusters["b100_all"] = frozenset(items)
-    return Clustering(clusters)
+    items = set(items)
+    return Clustering(
+        {**baseline_one_in_one(items).clusters, **baseline_all_in_one(items).clusters}
+    )
 
 
 class MetricPair(str, Enum):

@@ -162,12 +162,5 @@ def robust_set_f(
     alpha: float = 0.5,
 ) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F difference strictly exceeds the threshold."""
-    means = {
-        system: mean_f_measure(table, system, alpha) for system in table.systems
-    }
-    out: set[tuple[str, str]] = set()
-    for sys_a in table.systems:
-        for sys_b in table.systems:
-            if sys_a != sys_b and means[sys_a] - means[sys_b] > threshold:
-                out.add((sys_a, sys_b))
-    return out
+    means = {system: mean_f_measure(table, system, alpha) for system in table.systems}
+    return {(a, b) for a in means for b in means if a != b and means[a] - means[b] > threshold}

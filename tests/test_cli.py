@@ -582,6 +582,16 @@ class TestInputText:
         assert main(["rank", "--scores", str(path)]) == 0
 
 
+    def test_field_past_the_csv_limit_refused(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        text = serialize_score_table(two_system_table())
+        path.write_text(text.replace("precision", "p" * 140_000, 1), encoding="utf-8")
+        assert main(["rank", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: parse: line 2: field larger than field limit (131072)\n"
+        )
+
+
 class TestParserBasics:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -634,6 +644,7 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_p
             ["compare", "--scores", scores_csv, "--a", "A", "--b", "B",
              "--parametric", "--output", out],
         ),
+        ("alpha-sweep", ["alpha-sweep", "--scores", scores_csv, "--output", out]),
         ("threshold-sweep", ["threshold-sweep", "--scores", scores_csv, "--output", out]),
         (
             "predict",
@@ -657,6 +668,7 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_p
     assert state["eval"] == []
     assert state["rank"] == []
     assert state["compare"] == []
+    assert state["alpha-sweep"] == []
     assert state["threshold-sweep"] == []
     assert state["predict"] == []
 

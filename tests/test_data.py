@@ -274,6 +274,16 @@ class TestParseScoreTable:
         with pytest.raises(ParseError, match="line 1: quoted field spans lines"):
             parse_score_table('"test_\ncase",system,metric,score\nc1,s1,p,0.5\n')
 
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    def test_field_past_the_csv_limit_is_a_parse_error(self, line):
+        # csv raises its own csv.Error, not a ValueError, for such a field.
+        lines = ["test_case,system,metric,score", "c1,s1,p,0.5", "c1,s1,r,0.5"]
+        lines[line - 1] = lines[line - 1].replace("s", "s" * 140_000, 1)
+        with pytest.raises(ParseError) as info:
+            parse_score_table("\n".join(lines) + "\n")
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: field larger than field limit (131072)"
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -504,6 +504,38 @@ class TestParametricUir:
         with pytest.raises(ValueError, match="insufficient"):
             parametric_uir(table, *table.systems)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_quadrant_difference_identity(self, data, collinear):
+        # P(both > 0) - P(both < 0) = P(X > 0) + P(Y > 0) - 1 for any
+        # correlation, since P(both < 0) = 1 - P(X > 0) - P(Y > 0)
+        # + P(both > 0).  Evenly spread differences on a line, give or take
+        # 1e-4, reach the |r| >= 0.925 quadrature branch; free ones mostly
+        # the moderate branch.
+        n = data.draw(st.integers(3, 10), label="n")
+        unit = st.floats(0.25, 0.75)
+        if collinear:
+            offset = data.draw(st.floats(-0.2, 0.0), label="offset")
+            step = data.draw(st.floats(0.005, 0.02), label="step")
+            slope = data.draw(st.floats(0.5, 1.0), label="slope") * data.draw(
+                st.sampled_from((-1.0, 1.0)), label="sign"
+            )
+            d_p = [offset + step * i for i in range(n)]
+            d_r = [slope * d + data.draw(st.floats(-1e-4, 1e-4)) for d in d_p]
+        else:
+            d_p = data.draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n))
+            d_r = data.draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n))
+        b = [(data.draw(unit), data.draw(unit)) for _ in range(n)]
+        a = [(bp + dp, br + dr) for (bp, br), dp, dr in zip(b, d_p, d_r)]
+        table = make_table({"a": a, "b": b})
+        model = fit_bivariate_normal([(x[0] - y[0], x[1] - y[1]) for x, y in zip(a, b)])
+        (mu_p, mu_r), ((v_p, c), (_, v_r)) = model
+        s_p, s_r = math.sqrt(v_p), math.sqrt(v_r)
+        if collinear:
+            assert abs(c / (s_p * s_r)) >= 0.925
+        expected = _ndtr(mu_p / s_p) + _ndtr(mu_r / s_r) - 1.0
+        assert abs(parametric_uir(table, "a", "b") - expected) <= 1e-15
+
     def test_strong_dominance_near_one(self):
         a = [(0.9 + 0.01 * i, 0.8 + 0.01 * i) for i in range(5)]
         b = [(0.1 + 0.01 * i, 0.2 + 0.01 * i) for i in range(5)]
