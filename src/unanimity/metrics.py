@@ -172,15 +172,7 @@ def f_measure(precision: float, recall: float, alpha: float = 0.5) -> float:
     for name, value in (("precision", precision), ("recall", recall)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} {value} outside [0, 1]")
-    if alpha > 0.0 and precision == 0.0:
-        return 0.0
-    if alpha < 1.0 and recall == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        return recall
-    if alpha == 1.0:
-        return precision
-    return 1.0 / (alpha / precision + (1.0 - alpha) / recall)
+    return _mean_f((precision,), (recall,), (alpha,))[0]
 
 
 def baseline_one_in_one(items: Iterable[str]) -> Clustering:

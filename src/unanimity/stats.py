@@ -250,6 +250,8 @@ class BivariateNormalModel(_BivariateNormalFields):
             raise ValueError("covariance must be symmetric")
         if c00 < 0.0 or c11 < 0.0:
             raise ValueError("negative variance")
+        if math.isnan(m0) or math.isnan(m1):
+            raise ValueError("mean must not be NaN")
         return super().__new__(cls, (m0, m1), ((c00, c01), (c10, c11)))
 
     @classmethod
@@ -352,6 +354,11 @@ _GAUSS_LEGENDRE = {
 }
 
 
+# Bounds past this count as infinite: the tails they cut off are below the
+# smallest double, and nearer ones keep the quadrature's products finite.
+_FAR = 1e20
+
+
 def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     """P(X > dh, Y > dk) for standard bivariate normal X, Y with correlation r.
 
@@ -361,14 +368,11 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     analytic singular part.  Absolute error is below 5e-16, far inside the
     1e-6 needed here; r = +-1 reduces to exact single-normal expressions.
     """
-    if math.isinf(dh) or math.isinf(dk):
-        if dh == math.inf or dk == math.inf:
-            return 0.0
-        if dh == -math.inf:
-            return 1.0 if dk == -math.inf else _ndtr(-dk)
-        return _ndtr(-dh)
-    if r == 0.0:
-        return _ndtr(-dh) * _ndtr(-dk)
+    if dh > _FAR or dk > _FAR:
+        return 0.0
+    if dh < -_FAR or dk < -_FAR:
+        # The far bound always holds; the other one alone sets the tail.
+        return _ndtr(-max(dh, dk))
 
     if abs(r) < 0.3:
         nodes = 6
@@ -439,21 +443,23 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     return min(1.0, max(0.0, bvn))
 
 
-def orthant_probability(model: BivariateNormalModel) -> float:
-    """Mass of the model on the quadrant where both differences are >= 0."""
+def _bounds(model: BivariateNormalModel) -> tuple[float, float, float]:
+    """``_bvn_upper_tail``'s arguments for the model's positive quadrant.  A
+    zero-variance coordinate is a point mass at its mean, so its bound is
+    -inf when the mean is >= 0 and +inf otherwise."""
     mu = model.mean
     cov = model.covariance
     s1 = math.sqrt(cov[0][0])
     s2 = math.sqrt(cov[1][1])
-    # Zero-variance coordinates degenerate to point masses at the mean.
-    if s1 == 0.0 and s2 == 0.0:
-        return 1.0 if mu[0] >= 0.0 and mu[1] >= 0.0 else 0.0
-    if s1 == 0.0:
-        return _ndtr(mu[1] / s2) if mu[0] >= 0.0 else 0.0
-    if s2 == 0.0:
-        return _ndtr(mu[0] / s1) if mu[1] >= 0.0 else 0.0
-    rho = min(1.0, max(-1.0, cov[0][1] / (s1 * s2)))
-    return _bvn_upper_tail(-mu[0] / s1, -mu[1] / s2, rho)
+    dh = -mu[0] / s1 if s1 else (-math.inf if mu[0] >= 0.0 else math.inf)
+    dk = -mu[1] / s2 if s2 else (-math.inf if mu[1] >= 0.0 else math.inf)
+    rho = min(1.0, max(-1.0, cov[0][1] / (s1 * s2))) if s1 and s2 else 0.0
+    return dh, dk, rho
+
+
+def orthant_probability(model: BivariateNormalModel) -> float:
+    """Mass of the model on the quadrant where both differences are >= 0."""
+    return _bvn_upper_tail(*_bounds(model))
 
 
 def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
@@ -466,5 +472,6 @@ def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     p_col, r_col = metric_pair_columns(table)
     delta_p = list(map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col)))
     delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
-    model = _fit(delta_p, delta_r)
-    return orthant_probability(model) - orthant_probability(model.mirrored())
+    dh, dk, rho = _bounds(_fit(delta_p, delta_r))
+    # The mirrored model's bounds are these negated, at the same correlation.
+    return _bvn_upper_tail(dh, dk, rho) - _bvn_upper_tail(-dh, -dk, rho)

@@ -1,18 +1,19 @@
 """The columnar score-table paths against scalar per-cell oracles.
 
 The oracles walk the table cell by cell: one ``unanimous_compare`` per case
-for UIR, a left-to-right sum of ``f_measure`` for mean F, per-case deltas
-for the parametric UIR.  Random tables draw from a few repeated values
-(ties, 0.0 and 1.0) and from the whole unit interval, with one to three
-metrics; every comparison is ``==``.
+for UIR, a left-to-right sum of the scalar ``bounds_oracle.f_measure`` for
+mean F, per-case deltas for the parametric UIR.  Random tables draw from a
+few repeated values (ties, 0.0 and 1.0) and from the whole unit interval,
+with one to three metrics; every comparison is ``==``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bounds_oracle
 from unanimity.data import ScoreTable, parse_score_table, serialize_score_table
 from unanimity.experiments import alpha_sweep
-from unanimity.metrics import f_measure, mean_f_measure, metric_pair_columns
+from unanimity.metrics import mean_f_measure, metric_pair_columns
 from unanimity.stats import fit_bivariate_normal, orthant_probability, parametric_uir
 from unanimity.uir import (
     RelationOutcome,
@@ -72,7 +73,7 @@ def oracle_mean_f(table, system, alpha):
     total = 0.0
     for case in table.cases:
         vector = table.cell(case, system)
-        total += f_measure(vector[p_col], vector[r_col], alpha)
+        total += bounds_oracle.f_measure(vector[p_col], vector[r_col], alpha)
     return total / len(table.cases)
 
 

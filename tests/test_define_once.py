@@ -5,8 +5,8 @@ threshold 0, ``threshold_sweep`` takes its grid means and its one-alpha
 means from a single ``_mean_f`` pass per system, and ``baseline_combined``
 merges the two trivial baselines.  Each is compared by ``==`` (and by
 ``repr`` where 0.0 and -0.0 could differ) with ``define_once_oracle``,
-errors included.  The r = 0 branch of the bivariate normal tail is held to
-``stats_oracle`` by ``repr``.
+errors included.  The bivariate normal tail at r = 0, which the quadrature
+now computes, is held to ``stats_oracle``'s independent product by ``repr``.
 """
 
 import math
@@ -142,8 +142,8 @@ def test_uncorrelated_tail_equals_the_oracle(dh, dk, r):
 
 @pytest.mark.parametrize("r", [0.0, -0.0])
 def test_uncorrelated_tail_past_the_float_range(r):
-    # h * k overflows here: the Genz quadrature would meet 0 * inf, so the
-    # independent product is computed directly.
+    # h * k overflows here: the Genz quadrature would meet 0 * inf, so these
+    # bounds, past stats._FAR, count as infinite.
     assert _bvn_upper_tail(-1e200, -1e200, r) == 1.0
     assert _bvn_upper_tail(1e200, -1e200, r) == 0.0
     model = BivariateNormalModel((1e200, 1e200), ((1.0, r), (r, 1.0)))
