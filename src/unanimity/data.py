@@ -227,7 +227,7 @@ def validate_pair(
 
 
 class MetricVector(_Value):
-    """Named scores in [0, 1] for one (test case, system) cell.
+    """Named scores in [0, 1], up to rounding, for one (test case, system) cell.
 
     Name order is meaningful: it is shared by every cell of a table and, for
     two-metric tables, reads as (precision-like, recall-like).
@@ -242,7 +242,9 @@ class MetricVector(_Value):
             if not name:
                 raise ValueError("empty metric name")
             value = float(value)
-            if not 0.0 <= value <= 1.0:
+            # Purity adds one rounded term per cluster: cluster shares 0.4,
+            # 0.2, 0.3 and 0.1 of a perfect clustering sum to 1 + 2.2e-16.
+            if not 0.0 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"score {name}={value} outside [0, 1]")
             frozen[name] = value
         if not frozen:

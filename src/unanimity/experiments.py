@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import gt
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
-from unanimity.stats import ImprovementCategory, categorize_improvement, parametric_uir
-from unanimity.uir import pairwise_uir_matrix, robust_set_f
+from unanimity.stats import ImprovementCategory, _categories, parametric_uir
+from unanimity.uir import _f_gains, pairwise_uir_matrix
 
 ALPHA_GRID_POINTS = 101
 
@@ -125,20 +125,17 @@ def threshold_sweep(
     ``f05_ratio`` the share positive at the single ``alpha`` given here.
     """
     grid = _check_grid(grid, -1.0, 1.0, "threshold")
-    if len(table.systems) < 2:
+    systems = table.systems
+    if len(systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
     p_col, r_col = metric_pair_columns(table)  # a wider table is refused before any pair work
     matrix = pairwise_uir_matrix(table)
-    pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
-    categories: dict[tuple[str, str], ImprovementCategory] = {}
-    for i, a in enumerate(table.systems):
-        for b in table.systems[i + 1 :]:
-            category = categorize_improvement(table, a, b, significance_level)
-            categories[(a, b)] = categories[(b, a)] = category
+    pairs = [(a, b) for a in systems for b in systems if a != b]
+    categories = _categories(table, list(combinations(systems, 2)), significance_level)
     alphas = (*alpha_grid(), alpha)
     curves: dict[str, list[float]] = {}
     means: dict[str, float] = {}
-    for s in table.systems:
+    for s in systems:
         # One pass per system: the mean F at every grid alpha, then at ``alpha``.
         precision, recall = table.scores_for(s, p_col), table.scores_for(s, r_col)
         *curves[s], means[s] = _mean_f(precision, recall, alphas)
@@ -162,13 +159,19 @@ def gold_consistent_pairs(
 ) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F gap is positive in every collection:
     the intersection of ``robust_set_f(table, 0.0, alpha)`` over the tables."""
+    return _gold_consistent(tables, alpha)[0]
+
+
+def _gold_consistent(tables: Sequence[ScoreTable], alpha: float) -> tuple[set, list[dict]]:
+    """``gold_consistent_pairs``, and each table's mean F per system."""
     if len(tables) < 2:
         raise ValueError("need at least 2 collections")
     base = set(tables[0].systems)
     for table in tables[1:]:
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
-    return set.intersection(*(robust_set_f(table, 0.0, alpha) for table in tables))
+    means = [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
+    return set.intersection(*(_f_gains(m, 0.0) for m in means)), means
 
 
 class Predictor(str, Enum):
@@ -205,10 +208,10 @@ def predictor_curves(
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
     matrix = pairwise_uir_matrix(reference)
-    target = gold_consistent_pairs(collections, alpha)
+    target, collection_means = _gold_consistent(collections, alpha)
     if not target:
         raise ValueError("no gold-consistent pairs across the collections")
-    means = {s: mean_f_measure(reference, s, alpha) for s in reference.systems}
+    means = collection_means[collections.index(reference)]
     systems = reference.systems
     pairs = [(a, b) for a in systems for b in systems if a != b]
     parametric: dict[tuple[str, str], float] = {}

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import metric_pair_columns
+from unanimity.uir import _PackedRanks
 
 EXACT_CUTOFF = 20
 
@@ -153,6 +154,11 @@ def _approx_two_sided_p(sizes: tuple[int, ...], w_min: float, n: int) -> float:
     return min(1.0, 2.0 * _ndtr(z))
 
 
+def _check_level(significance_level: float) -> None:
+    if not 0.0 < significance_level < 1.0:
+        raise ValueError(f"significance level {significance_level} outside (0, 1)")
+
+
 def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResult:
     """Two-sided paired signed-rank test.
 
@@ -162,8 +168,7 @@ def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResu
     continuity corrections.  With no non-zero differences p = 1.  A NaN
     difference raises ``ValueError``.
     """
-    if not 0.0 < significance_level < 1.0:
-        raise ValueError(f"significance level {significance_level} outside (0, 1)")
+    _check_level(significance_level)
     sizes, w_plus2 = _rank_sums(x, y)
     n = sum(sizes)
     if n == 0:
@@ -199,25 +204,40 @@ def categorize_improvement(
     significant metric and no opposition.  The category is symmetric in the
     two systems.
     """
+    return _categories(table, [(sys_a, sys_b)], significance_level)[sys_a, sys_b]
+
+
+def _categories(table: ScoreTable, pairs: list, significance_level: float) -> dict:
+    """``categorize_improvement`` of each pair, both ways round, from one
+    packing of the table."""
     names = table.metric_names
     if len(names) != 2:
         raise ValueError(
             f"improvement categories need exactly 2 metrics, table has {len(names)}"
         )
-    directions = []
-    for name in names:
-        x = table.scores_for(sys_a, name)
-        y = table.scores_for(sys_b, name)
-        result = wilcoxon_signed_rank(x, y, significance_level)
-        if not result.significant:
-            directions.append(0)
-            continue
-        directions.append(1 if result.w_plus > result.w_minus else -1)
-    if all(direction == 0 for direction in directions):
-        return ImprovementCategory.NON_SIGNIFICANT
-    if 1 in directions and -1 in directions:
-        return ImprovementCategory.OPPOSITE_SIGNIFICANT
-    return ImprovementCategory.CONCORDANT_SIGNIFICANT
+    ranks = _PackedRanks(table, [s for pair in pairs for s in pair])
+    _check_level(significance_level)
+    categories = {}
+    for a, b in pairs:
+        directions = set()
+        for name, (ge, le) in zip(names, ranks.masks(a, b)):
+            n = ranks.n_total - (ge & le).bit_count()
+            if ranks.top in (ge, le) and n <= EXACT_CUTOFF:
+                # Every non-zero difference has one sign, so the smaller rank
+                # sum is 0: the first cumulative null count, 1 for any ties.
+                p, sign = 2 / 2**n if n else 1.0, 1 if ge == ranks.top else -1
+            else:
+                x, y = table.scores_for(a, name), table.scores_for(b, name)
+                result = wilcoxon_signed_rank(x, y, significance_level)
+                p, sign = result.p_value, 1 if result.w_plus > result.w_minus else -1
+            if p < significance_level:
+                directions.add(sign)
+        categories[a, b] = categories[b, a] = (
+            ImprovementCategory.OPPOSITE_SIGNIFICANT if len(directions) == 2
+            else ImprovementCategory.CONCORDANT_SIGNIFICANT if directions
+            else ImprovementCategory.NON_SIGNIFICANT
+        )
+    return categories
 
 
 REGULARIZATION = 1e-9
@@ -233,7 +253,8 @@ class BivariateNormalModel(_BivariateNormalFields):
     """Mean and covariance of per-case score differences on two metrics.
 
     Takes any array-likes of shape (2,) and (2, 2) and stores them as
-    tuples of floats.
+    tuples of floats.  The mean and variances must be finite and the
+    covariance symmetric and positive semi-definite, up to rounding.
     """
 
     __slots__ = ()
@@ -250,8 +271,10 @@ class BivariateNormalModel(_BivariateNormalFields):
             raise ValueError("covariance must be symmetric")
         if c00 < 0.0 or c11 < 0.0:
             raise ValueError("negative variance")
-        if math.isnan(m0) or math.isnan(m1):
-            raise ValueError("mean must not be NaN")
+        if not all(map(math.isfinite, (m0, m1, c00, c11))):
+            raise ValueError("mean and variances must be finite")
+        if abs(c01) > (1.0 + 1e-9) * math.sqrt(c00) * math.sqrt(c11):
+            raise ValueError("covariance must be positive semi-definite")
         return super().__new__(cls, (m0, m1), ((c00, c01), (c10, c11)))
 
     @classmethod
@@ -359,8 +382,8 @@ _GAUSS_LEGENDRE = {
 _FAR = 1e20
 
 
-def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for standard bivariate normal X, Y with correlation r.
+def _bvn_upper_tail(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard bivariate normal X, Y with correlation r.
 
     Gauss-Legendre quadrature after Drezner & Wesolowsky (1990) as refined
     by Genz (2004): the moderate-correlation branch integrates over the
@@ -368,79 +391,80 @@ def _bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     analytic singular part.  Absolute error is below 5e-16, far inside the
     1e-6 needed here; r = +-1 reduces to exact single-normal expressions.
     """
-    if dh > _FAR or dk > _FAR:
+    if h > _FAR or k > _FAR:
         return 0.0
-    if dh < -_FAR or dk < -_FAR:
+    if h < -_FAR or k < -_FAR:
         # The far bound always holds; the other one alone sets the tail.
-        return _ndtr(-max(dh, dk))
+        return _ndtr(-max(h, k))
+    if abs(r) < 0.925:
+        return _arcsine_tails(h, k, r)[0]
 
-    if abs(r) < 0.3:
-        nodes = 6
-    elif abs(r) < 0.75:
-        nodes = 12
-    else:
-        nodes = 20
-    # Each node is shifted onto (0, 2); symmetry of the nodes covers both
-    # halves of the interval.
-    rule_nodes, rule_weights = _GAUSS_LEGENDRE[nodes]
-
+    # |r| >= 0.925 takes the 20-point rule.  Each node is shifted onto (0, 2);
+    # symmetry of the nodes covers both halves of the interval.
+    rule_nodes, rule_weights = _GAUSS_LEGENDRE[20]
     tp = 2.0 * math.pi
-    h = dh
-    k = dk
     hk = h * k
     bvn = 0.0
-    if abs(r) < 0.925:
-        hs = (h * h + k * k) / 2.0
-        asr = math.asin(r) / 2.0
+    if r < 0.0:
+        k = -k
+        hk = -hk
+    if abs(r) < 1.0:
+        a_sq = (1.0 - r) * (1.0 + r)
+        a = math.sqrt(a_sq)
+        bs = (h - k) ** 2
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 80.0
+        asr = -(bs / a_sq + hk) / 2.0
+        if asr > -100.0:
+            bvn = (
+                a
+                * math.exp(asr)
+                * (1.0 - c * (bs - a_sq) * (1.0 - d * bs) / 3.0 + c * d * a_sq**2)
+            )
+        if hk > -100.0:
+            b = math.sqrt(bs)
+            sp = math.sqrt(tp) * _ndtr(-b / a)
+            bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
+        a /= 2.0
+        integral = 0.0
         for node, weight in zip(rule_nodes, rule_weights):
-            sn = math.sin(asr * (1.0 + node))
-            bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
-        bvn = bvn * asr / tp + _ndtr(-h) * _ndtr(-k)
-    else:
-        if r < 0.0:
-            k = -k
-            hk = -hk
-        if abs(r) < 1.0:
-            a_sq = (1.0 - r) * (1.0 + r)
-            a = math.sqrt(a_sq)
-            bs = (h - k) ** 2
-            c = (4.0 - hk) / 8.0
-            d = (12.0 - hk) / 80.0
-            asr = -(bs / a_sq + hk) / 2.0
+            ax = a * (1.0 + node)
+            xs = ax * ax
+            asr = -(bs / xs + hk) / 2.0
             if asr > -100.0:
-                bvn = (
-                    a
-                    * math.exp(asr)
-                    * (1.0 - c * (bs - a_sq) * (1.0 - d * bs) / 3.0 + c * d * a_sq**2)
-                )
-            if hk > -100.0:
-                b = math.sqrt(bs)
-                sp = math.sqrt(tp) * _ndtr(-b / a)
-                bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
-            a /= 2.0
-            integral = 0.0
-            for node, weight in zip(rule_nodes, rule_weights):
-                ax = a * (1.0 + node)
-                xs = ax * ax
-                asr = -(bs / xs + hk) / 2.0
-                if asr > -100.0:
-                    sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
-                    rs = math.sqrt(1.0 - xs)
-                    rs1 = 1.0 + rs
-                    ep = math.exp(-(hk / 2.0) * xs / (rs1 * rs1)) / rs
-                    integral += math.exp(asr) * (sp - ep) * weight
-            bvn = (a * integral - bvn) / tp
-        if r > 0.0:
-            bvn += _ndtr(-max(h, k))
-        elif h >= k:
-            bvn = -bvn
+                sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+                rs = math.sqrt(1.0 - xs)
+                rs1 = 1.0 + rs
+                ep = math.exp(-(hk / 2.0) * xs / (rs1 * rs1)) / rs
+                integral += math.exp(asr) * (sp - ep) * weight
+        bvn = (a * integral - bvn) / tp
+    if r > 0.0:
+        bvn += _ndtr(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    else:
+        if h < 0.0:
+            tail = _ndtr(k) - _ndtr(h)
         else:
-            if h < 0.0:
-                tail = _ndtr(k) - _ndtr(h)
-            else:
-                tail = _ndtr(-h) - _ndtr(-k)
-            bvn = tail - bvn
+            tail = _ndtr(-h) - _ndtr(-k)
+        bvn = tail - bvn
     return min(1.0, max(0.0, bvn))
+
+
+def _arcsine_tails(h: float, k: float, r: float) -> tuple[float, float]:
+    """P(X > h, Y > k) and P(X > -h, Y > -k) for |r| < 0.925, from one
+    quadrature over the arcsine reparameterization: it depends on h and k
+    only through h * k and h * h + k * k, which the two orthants share."""
+    hk = h * k
+    hs = (h * h + k * k) / 2.0
+    asr = math.asin(r) / 2.0
+    bvn = 0.0
+    for node, weight in zip(*_GAUSS_LEGENDRE[6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20]):
+        sn = math.sin(asr * (1.0 + node))
+        bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
+    bvn = bvn * asr / (2.0 * math.pi)
+    upper, lower = bvn + _ndtr(-h) * _ndtr(-k), bvn + _ndtr(h) * _ndtr(k)
+    return min(1.0, max(0.0, upper)), min(1.0, max(0.0, lower))
 
 
 def _bounds(model: BivariateNormalModel) -> tuple[float, float, float]:
@@ -474,4 +498,7 @@ def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
     dh, dk, rho = _bounds(_fit(delta_p, delta_r))
     # The mirrored model's bounds are these negated, at the same correlation.
+    if abs(rho) < 0.925 and abs(dh) <= _FAR and abs(dk) <= _FAR:
+        positive, negative = _arcsine_tails(dh, dk, rho)
+        return positive - negative
     return _bvn_upper_tail(dh, dk, rho) - _bvn_upper_tail(-dh, -dk, rho)

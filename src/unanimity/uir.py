@@ -10,10 +10,9 @@ robustly one system beats another regardless of metric weighting.
 from __future__ import annotations
 
 from enum import Enum
-from operator import ge, le
 from typing import Mapping, NamedTuple, Sequence
 
-from unanimity.data import Column, MetricVector, ScoreTable
+from unanimity.data import MetricVector, ScoreTable
 from unanimity.metrics import mean_f_measure
 
 # Ordered system pairs a pairwise computation may take on: 1000 systems.
@@ -73,33 +72,55 @@ class UirResult(NamedTuple):
         )
 
 
-def _columns(table: ScoreTable, system: str) -> list[Column]:
-    return [table.scores_for(system, name) for name in table.metric_names]
+class _PackedRanks:
+    """Score columns as packed ranks, for comparing systems case by case.
 
-
-def _uir(cols_a: Sequence[Column], cols_b: Sequence[Column]) -> UirResult:
-    """UIR from two systems' score columns: a case counts for a when a >= b
-    on every metric, for b when b >= a on every metric, for both on a tie.
-
-    Each metric's per-case verdicts become one integer, a byte per case, so
-    the AND over metrics and the counts run on whole columns at once.
+    Each score becomes its dense rank among the metric's distinct scores
+    over ``systems`` (0.0 and -0.0 share one).  A column is one integer P
+    with case c's rank in byte-aligned slot c, below the slot's top bit;
+    ``top`` (G) sets every top bit.  ``((P_a | G) - P_b) & G`` then keeps
+    slot c's top bit exactly when a >= b on case c: no slot borrows.
     """
-    n_total = len(cols_a[0])
-    a_geq = b_geq = -1
-    for col_a, col_b in zip(cols_a, cols_b):
-        a_geq &= int.from_bytes(bytes(map(ge, col_a, col_b)), "little")
-        b_geq &= int.from_bytes(bytes(map(le, col_a, col_b)), "little")
-    n_a = a_geq.bit_count()
-    n_b = b_geq.bit_count()
-    n_inc = n_total - n_a - n_b + (a_geq & b_geq).bit_count()
-    return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
+
+    def __init__(self, table: ScoreTable, systems: Sequence[str]):
+        systems = tuple(dict.fromkeys(systems))
+        columns = [[table.scores_for(s, name) for s in systems] for name in table.metric_names]
+        distinct = [sorted(set().union(*cols)) for cols in columns]
+        width = (max(map(len, distinct)) - 1).bit_length() // 8 + 1
+        self.n_total = len(table.cases)
+        self.top = top = int.from_bytes((bytes(width - 1) + b"\x80") * self.n_total, "little")
+        # Per system, one (P | G, P) per metric.
+        self.columns: dict[str, list[tuple[int, int]]] = {s: [] for s in systems}
+        for cols, values in zip(columns, distinct):
+            code = {value: rank.to_bytes(width, "little") for rank, value in enumerate(values)}
+            for system, col in zip(systems, cols):
+                ranks = int.from_bytes(b"".join(map(code.__getitem__, col)), "little")
+                self.columns[system].append((ranks | top, ranks))
+
+    def masks(self, a: str, b: str) -> list[tuple[int, int]]:
+        """Per metric, the slots of the cases where a >= b and where b >= a."""
+        top = self.top
+        pairs = zip(self.columns[a], self.columns[b])
+        return [((qa - pb) & top, (qb - pa) & top) for (qa, pa), (qb, pb) in pairs]
+
+    def uir(self, a: str, b: str) -> UirResult:
+        """A case counts for a when a >= b on every metric, for b when b >= a
+        on every metric, for both on a tie."""
+        a_geq = b_geq = self.top
+        for ge, le in self.masks(a, b):
+            a_geq &= ge
+            b_geq &= le
+        n_a = a_geq.bit_count()
+        n_b = b_geq.bit_count()
+        n_inc = self.n_total - n_a - n_b + (a_geq & b_geq).bit_count()
+        return UirResult(n_a, n_b, n_inc, self.n_total, (n_a - n_b) / self.n_total)
 
 
 def unanimous_improvement_ratio(
     table: ScoreTable, sys_a: str, sys_b: str
 ) -> UirResult:
     """Aggregate per-case unanimous comparisons of two systems over a collection."""
-    return _uir(_columns(table, sys_a), _columns(table, sys_b))
+    return _PackedRanks(table, (sys_a, sys_b)).uir(sys_a, sys_b)
 
 
 def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
@@ -115,10 +136,10 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
             f"at most {MAX_PAIRS} are allowed"
         )
     matrix: dict[tuple[str, str], UirResult] = {}
-    columns = {system: _columns(table, system) for system in systems}
+    ranks = _PackedRanks(table, systems)
     for i, sys_a in enumerate(systems):
         for sys_b in systems[i + 1 :]:
-            result = _uir(columns[sys_a], columns[sys_b])
+            result = ranks.uir(sys_a, sys_b)
             matrix[(sys_a, sys_b)] = result
             matrix[(sys_b, sys_a)] = result.reversed()
     return matrix
@@ -145,9 +166,9 @@ def reference_system(
     Returns ``(rival_id, uir_value)`` maximizing UIR(rival, system), or None
     when no rival exceeds the threshold.  Ties pick the smallest id.
     """
-    own = _columns(table, system)
+    ranks = _PackedRanks(table, (system, *table.systems))  # an unknown system raises first
     others = (other for other in table.systems if other != system)
-    return best_rival({o: _uir(_columns(table, o), own).value for o in others}, threshold)
+    return best_rival({o: ranks.uir(o, system).value for o in others}, threshold)
 
 
 def robust_set_uir(table: ScoreTable, threshold: float) -> set[tuple[str, str]]:
@@ -162,5 +183,9 @@ def robust_set_f(
     alpha: float = 0.5,
 ) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F difference strictly exceeds the threshold."""
-    means = {system: mean_f_measure(table, system, alpha) for system in table.systems}
+    return _f_gains({s: mean_f_measure(table, s, alpha) for s in table.systems}, threshold)
+
+
+def _f_gains(means: Mapping[str, float], threshold: float) -> set[tuple[str, str]]:
+    """``robust_set_f`` from each system's mean F."""
     return {(a, b) for a in means for b in means if a != b and means[a] - means[b] > threshold}

@@ -9,7 +9,10 @@ empty stderr and exit status 0.  The inputs cover:
   ``base`` with correlations near +1 and -1, which puts the parametric UIR on
   the high-correlation quadrature; ``tied`` has zero differences and ties.
 - ``second.csv`` and ``third.csv``: two smaller collections (exact Wilcoxon)
-  for ``predict``.
+  for ``predict``.  ``threshold_sweep_exact`` sweeps ``second.csv`` at level
+  0.25: there ``base`` and ``tied`` differ with one sign on each metric, at
+  p = 2/2^5 (significant) and at p = 2/2^3, equal to the level (not
+  significant).
 - ``gold.tsv``, ``sys_a.tsv``, ``sys_b.tsv``: clusterings scored on both
   metric pairs.
 
@@ -43,6 +46,7 @@ COMMANDS = {
     "rank": ["rank", "--scores", "scores.csv"],
     "alpha_sweep": ["alpha-sweep", "--scores", "scores.csv"],
     "threshold_sweep": ["threshold-sweep", "--scores", "scores.csv"],
+    "threshold_sweep_exact": ["threshold-sweep", "--scores", "second.csv", "--significance-level", "0.25"],
     "predict": ["predict", "--reference", "scores.csv", "--collections", "scores.csv", "second.csv", "third.csv"],
 }
 

@@ -2,9 +2,10 @@
 
 These are the list- and ``Counter``-based kernels that ``unanimity.stats``
 and ``unanimity.uir`` used before the packed null distribution, the sorted
-tie walk, the bitmask UIR counts and the column-native fit replaced them.
-The arithmetic is the same, so the tests hold the package to them with
-``==``.
+tie walk, the bitmask UIR counts and the column-native fit replaced them,
+and the byte-mask UIR counts and the all-Wilcoxon improvement categories
+that the packed-rank comparison replaced.  The arithmetic is the same, so
+the tests hold the package to them with ``==``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from collections import Counter
 from itertools import accumulate
 from operator import add, and_, ge, le, sub
 
-from unanimity.stats import REGULARIZATION, BivariateNormalModel
+from unanimity.stats import (
+    REGULARIZATION,
+    BivariateNormalModel,
+    ImprovementCategory,
+    wilcoxon_signed_rank,
+)
 from unanimity.uir import UirResult
 
 
@@ -73,6 +79,44 @@ def uir(cols_a, cols_b) -> UirResult:
     n_b = sum(b_geq)
     n_inc = n_total - n_a - n_b + sum(map(and_, a_geq, b_geq))
     return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
+
+
+def byte_mask_uir(cols_a, cols_b) -> UirResult:
+    """UIR from two systems' score columns: each metric's per-case verdicts
+    become one integer, a byte per case, ANDed over the metrics."""
+    n_total = len(cols_a[0])
+    a_geq = b_geq = -1
+    for col_a, col_b in zip(cols_a, cols_b):
+        a_geq &= int.from_bytes(bytes(map(ge, col_a, col_b)), "little")
+        b_geq &= int.from_bytes(bytes(map(le, col_a, col_b)), "little")
+    n_a = a_geq.bit_count()
+    n_b = b_geq.bit_count()
+    n_inc = n_total - n_a - n_b + (a_geq & b_geq).bit_count()
+    return UirResult(n_a, n_b, n_inc, n_total, (n_a - n_b) / n_total)
+
+
+def categorize_improvement(table, sys_a, sys_b, significance_level=0.05):
+    """The category from one signed-rank test per metric, one-signed
+    columns included."""
+    names = table.metric_names
+    if len(names) != 2:
+        raise ValueError(
+            f"improvement categories need exactly 2 metrics, table has {len(names)}"
+        )
+    directions = []
+    for name in names:
+        x = table.scores_for(sys_a, name)
+        y = table.scores_for(sys_b, name)
+        result = wilcoxon_signed_rank(x, y, significance_level)
+        if not result.significant:
+            directions.append(0)
+            continue
+        directions.append(1 if result.w_plus > result.w_minus else -1)
+    if all(direction == 0 for direction in directions):
+        return ImprovementCategory.NON_SIGNIFICANT
+    if 1 in directions and -1 in directions:
+        return ImprovementCategory.OPPOSITE_SIGNIFICANT
+    return ImprovementCategory.CONCORDANT_SIGNIFICANT
 
 
 def fit_bivariate_normal(deltas) -> BivariateNormalModel:

@@ -64,6 +64,19 @@ class TestEval:
         main(["eval", "--system", sys_a, "--gold", gold, "--case-id", "weps_01"])
         assert capsys.readouterr().out.count("weps_01") == 2
 
+    def test_pure_clusters_summing_past_one(self, tmp_path, capsys):
+        # Cluster shares 0.4 + 0.2 + 0.3 + 0.1 add up to 1.0000000000000002.
+        labels = ["c0"] * 4 + ["c1"] * 2 + ["c2"] * 3 + ["c3"]
+        system = tmp_path / "s.tsv"
+        system.write_text("".join(f"{c}\ti{k}\n" for k, c in enumerate(labels)), encoding="utf-8")
+        gold = tmp_path / "g.tsv"
+        gold.write_text("".join(f"g\ti{k}\n" for k in range(10)), encoding="utf-8")
+        assert main(["eval", "--system", str(system), "--gold", str(gold)]) == 0
+        assert main(["eval", "--system", str(gold), "--gold", str(system)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1] == ["g", "s", "purity", "1.000000"]
+        assert rows[-1] == ["s", "g", "inverse_purity", "1.000000"]
+
     def test_lenient_warns_on_stderr(self, tmp_path, capsys):
         gold = tmp_path / "g.tsv"
         gold.write_text("g\ta\ng\tb\n", encoding="utf-8")

@@ -2,7 +2,7 @@
 
 ``kernel_oracle`` keeps the list dynamic programme for the exact null
 distribution, the ``Counter`` rank sums, the boolean-list UIR counts and the
-row-wise bivariate fit.  The packed, sorted, bitmask and column-native
+row-wise bivariate fit.  The packed, sorted, packed-rank and column-native
 kernels in the package must return ``==`` results on every input, refusals
 included.
 """
@@ -27,7 +27,7 @@ from unanimity.stats import (
     _rank_sums,
     fit_bivariate_normal,
 )
-from unanimity.uir import MAX_PAIRS, _uir, pairwise_uir_matrix
+from unanimity.uir import MAX_PAIRS, pairwise_uir_matrix, unanimous_improvement_ratio
 
 # The cached function's computation, so that every call here is a fresh one.
 packed_null_cumulative = _null_cumulative.__wrapped__
@@ -176,7 +176,17 @@ class TestUirCounts:
     @settings(max_examples=500, deadline=None)
     @given(column_pairs())
     def test_equals_boolean_lists(self, cols):
-        assert _uir(*cols) == oracle.uir(*cols)
+        cols_a, cols_b = cols
+        rows = [
+            (f"c{i}", system, f"m{k}", value)
+            for system, columns in (("a", cols_a), ("b", cols_b))
+            for k, column in enumerate(columns)
+            for i, value in enumerate(column)
+        ]
+        table = ScoreTable.from_rows("k", rows)
+        expected = oracle.uir(cols_a, cols_b)
+        assert oracle.byte_mask_uir(cols_a, cols_b) == expected
+        assert repr(unanimous_improvement_ratio(table, "a", "b")) == repr(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(wide_tables())
