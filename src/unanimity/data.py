@@ -226,6 +226,12 @@ def validate_pair(
     return ValidationReport(system_only, gold_only, tuple(notes))
 
 
+# The largest score accepted as "at most 1".  Purity adds one rounded term per
+# cluster: cluster shares 0.4, 0.2, 0.3 and 0.1 of a perfect clustering sum
+# to 1 + 2.2e-16.
+_SCORE_MAX = 1.0 + 1e-9
+
+
 class MetricVector(_Value):
     """Named scores in [0, 1], up to rounding, for one (test case, system) cell.
 
@@ -242,9 +248,7 @@ class MetricVector(_Value):
             if not name:
                 raise ValueError("empty metric name")
             value = float(value)
-            # Purity adds one rounded term per cluster: cluster shares 0.4,
-            # 0.2, 0.3 and 0.1 of a perfect clustering sum to 1 + 2.2e-16.
-            if not 0.0 <= value <= 1.0 + 1e-9:
+            if not 0.0 <= value <= _SCORE_MAX:
                 raise ValueError(f"score {name}={value} outside [0, 1]")
             frozen[name] = value
         if not frozen:
@@ -284,7 +288,7 @@ def _build_columns(
         if not case or not system or not metric:
             raise error("empty test_case, system or metric field", line)
         value = float(value)
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= _SCORE_MAX:
             raise error(f"score {value} outside [0, 1] for ({case}, {system}, {metric})", line)
         column = filed.get((system, metric))
         if column is None:

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, _categories, parametric_uir
-from unanimity.uir import _f_gains, pairwise_uir_matrix
+from unanimity.uir import _f_gains, _packed_matrix, pairwise_uir_matrix
 
 ALPHA_GRID_POINTS = 101
 
@@ -129,9 +129,9 @@ def threshold_sweep(
     if len(systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
     p_col, r_col = metric_pair_columns(table)  # a wider table is refused before any pair work
-    matrix = pairwise_uir_matrix(table)
+    ranks, matrix = _packed_matrix(table)
     pairs = [(a, b) for a in systems for b in systems if a != b]
-    categories = _categories(table, list(combinations(systems, 2)), significance_level)
+    categories = _categories(table, list(combinations(systems, 2)), significance_level, ranks)
     alphas = (*alpha_grid(), alpha)
     curves: dict[str, list[float]] = {}
     means: dict[str, float] = {}

@@ -207,25 +207,36 @@ def categorize_improvement(
     return _categories(table, [(sys_a, sys_b)], significance_level)[sys_a, sys_b]
 
 
-def _categories(table: ScoreTable, pairs: list, significance_level: float) -> dict:
+def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks=None) -> dict:
     """``categorize_improvement`` of each pair, both ways round, from one
-    packing of the table."""
+    packing of the table, or from ``ranks`` if given."""
     names = table.metric_names
     if len(names) != 2:
         raise ValueError(
             f"improvement categories need exactly 2 metrics, table has {len(names)}"
         )
-    ranks = _PackedRanks(table, [s for pair in pairs for s in pair])
+    ranks = ranks or _PackedRanks(table, [s for pair in pairs for s in pair])
     _check_level(significance_level)
+    # A column whose p is bounded below this is significant without its test:
+    # rounding is monotone, and the margin covers _ndtr's error.
+    settled_below = significance_level * (1 - 1e-9)
     categories = {}
     for a, b in pairs:
         directions = set()
         for name, (ge, le) in zip(names, ranks.masks(a, b)):
             n = ranks.n_total - (ge & le).bit_count()
-            if ranks.top in (ge, le) and n <= EXACT_CUTOFF:
+            k = (ge & ~le).bit_count()
+            # Mid-ranks average 1..n within tie groups, so the k positives have
+            # k(k+1)/2 <= W+ <= k(2n-k+1)/2, and min(W+, W-) <= w_max.
+            w_max = min(k * (2 * n - k + 1), n * (n + 1) - k * (k + 1)) // 2
+            sign = 1 if 2 * k > n else -1
+            if n <= EXACT_CUTOFF and k in (0, n):
                 # Every non-zero difference has one sign, so the smaller rank
                 # sum is 0: the first cumulative null count, 1 for any ties.
-                p, sign = 2 / 2**n if n else 1.0, 1 if ge == ranks.top else -1
+                p = 2 / 2**n if n else 1.0
+            elif n > EXACT_CUTOFF and _approx_two_sided_p((), w_max, n) < settled_below:
+                # Ties only shrink the variance: the test's z is at most this one.
+                p = 0.0
             else:
                 x, y = table.scores_for(a, name), table.scores_for(b, name)
                 result = wilcoxon_signed_rank(x, y, significance_level)

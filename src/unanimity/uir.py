@@ -10,6 +10,7 @@ robustly one system beats another regardless of metric weighting.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from unanimity.data import MetricVector, ScoreTable
@@ -128,6 +129,11 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
     antisymmetry of the ratio holds exactly by construction.  A table with
     more than ``MAX_PAIRS`` ordered pairs raises ``ValueError`` before any
     pair is computed."""
+    return _packed_matrix(table)[1]
+
+
+def _packed_matrix(table: ScoreTable) -> tuple[_PackedRanks, dict[tuple[str, str], UirResult]]:
+    """Every system packed, once ``MAX_PAIRS`` is checked, and the matrix."""
     systems = table.systems
     n_pairs = len(systems) * (len(systems) - 1)
     if n_pairs > MAX_PAIRS:
@@ -135,14 +141,12 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
             f"table has {len(systems)} systems, {n_pairs} ordered pairs; "
             f"at most {MAX_PAIRS} are allowed"
         )
-    matrix: dict[tuple[str, str], UirResult] = {}
     ranks = _PackedRanks(table, systems)
-    for i, sys_a in enumerate(systems):
-        for sys_b in systems[i + 1 :]:
-            result = ranks.uir(sys_a, sys_b)
-            matrix[(sys_a, sys_b)] = result
-            matrix[(sys_b, sys_a)] = result.reversed()
-    return matrix
+    matrix: dict[tuple[str, str], UirResult] = {}
+    for sys_a, sys_b in combinations(systems, 2):
+        matrix[sys_a, sys_b] = result = ranks.uir(sys_a, sys_b)
+        matrix[sys_b, sys_a] = result.reversed()
+    return ranks, matrix
 
 
 def best_rival(

@@ -78,7 +78,7 @@ def build_columns(rows, error=lambda msg, line: ValidationError(msg)):
         if not case or not system or not metric:
             raise error("empty test_case, system or metric field", line)
         value = float(value)
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= 1.0 + 1e-9:  # rounding slack, as in MetricVector
             raise error(f"score {value} outside [0, 1] for ({case}, {system}, {metric})", line)
         key = (case, system, metric)
         if key in scores:

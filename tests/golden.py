@@ -13,6 +13,11 @@ empty stderr and exit status 0.  The inputs cover:
   0.25: there ``base`` and ``tied`` differ with one sign on each metric, at
   p = 2/2^5 (significant) and at p = 2/2^3, equal to the level (not
   significant).
+- ``approx.csv``: 60 cases, 4 systems, scores in steps of 0.01.  Eight of
+  its twelve (pair, metric) columns are decided from their counts of
+  positive and non-zero differences alone; the other four run the full
+  normal approximation.  ``compare_approx`` pairs one of each kind into an
+  opposite-significant verdict.
 - ``gold.tsv``, ``sys_a.tsv``, ``sys_b.tsv``: clusterings scored on both
   metric pairs.
 
@@ -47,6 +52,8 @@ COMMANDS = {
     "alpha_sweep": ["alpha-sweep", "--scores", "scores.csv"],
     "threshold_sweep": ["threshold-sweep", "--scores", "scores.csv"],
     "threshold_sweep_exact": ["threshold-sweep", "--scores", "second.csv", "--significance-level", "0.25"],
+    "threshold_sweep_approx": ["threshold-sweep", "--scores", "approx.csv"],
+    "compare_approx": ["compare", "--scores", "approx.csv", "--a", "close", "--b", "mixed"],
     "predict": ["predict", "--reference", "scores.csv", "--collections", "scores.csv", "second.csv", "third.csv"],
 }
 
