@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, combinations
-from operator import gt
+from operator import gt, le
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
@@ -22,6 +22,7 @@ from unanimity.stats import ImprovementCategory, _categories, parametric_uir
 from unanimity.uir import _f_gains, _packed_matrix, pairwise_uir_matrix
 
 ALPHA_GRID_POINTS = 101
+_STEP = 10  # threshold_sweep computes every _STEP-th grid alpha's mean F first
 
 
 def alpha_grid(points: int = ALPHA_GRID_POINTS) -> tuple[float, ...]:
@@ -59,6 +60,32 @@ def _counts_above(
     for t in grid:
         k = len(ranked) - bisect_right(ranked, t)
         yield t, k, [top[k] for top in tops]
+
+
+def _convex_bounds(points: Sequence[float], n: int) -> tuple[list[float], list[float]]:
+    """lo <= computed mean F <= hi at every grid alpha, from the computed
+    means ``points`` of ``n`` cases at every ``_STEP``-th one, where lo = hi.
+
+    Each case's F is convex in alpha, so between two points the mean lies
+    below their chord and above both neighbouring secants, extended.  The
+    margin covers rounding: a mean is within (n + 4)u of the exact one, the
+    chord adds that error once, a secant three times, and the grid alphas'
+    own rounding ~20u (u = 2**-52).
+    """
+    margin = 8 * (n + 8) * 2.0**-52
+    lo, hi = [points[0]], [points[0]]
+    for q in range(1, len(points)):
+        y0, y1 = points[q - 1], points[q]
+        for i in range(1, _STEP):
+            t, s = i / _STEP, (_STEP - i) / _STEP
+            hi.append(y0 + (y1 - y0) * t + margin)
+            below = [y0 + (y0 - points[q - 2]) * t] if q > 1 else []
+            if q + 1 < len(points):
+                below.append(y1 + (y1 - points[q + 1]) * s)
+            lo.append(max(below) - margin)
+        lo.append(y1)
+        hi.append(y1)
+    return lo, hi
 
 
 class AlphaSweep(NamedTuple):
@@ -132,17 +159,30 @@ def threshold_sweep(
     ranks, matrix = _packed_matrix(table)
     pairs = [(a, b) for a in systems for b in systems if a != b]
     categories = _categories(table, list(combinations(systems, 2)), significance_level, ranks)
-    alphas = (*alpha_grid(), alpha)
-    curves: dict[str, list[float]] = {}
-    means: dict[str, float] = {}
-    for s in systems:
-        # One pass per system: the mean F at every grid alpha, then at ``alpha``.
-        precision, recall = table.scores_for(s, p_col), table.scores_for(s, r_col)
-        *curves[s], means[s] = _mean_f(precision, recall, alphas)
+    alphas = alpha_grid()
+    columns = {s: (table.scores_for(s, p_col), table.scores_for(s, r_col)) for s in systems}
+    known: dict[str, dict[float, float]] = {s: {} for s in systems}
+
+    def mean_f(s: str, wanted: Sequence[float]) -> list[float]:
+        """Mean F of ``s`` at each wanted alpha; each (s, alpha) runs once."""
+        new = [a for a in wanted if a not in known[s]]
+        if new:
+            known[s].update(zip(new, _mean_f(*columns[s], new)))
+        return [known[s][a] for a in wanted]
+
+    bounds = {s: _convex_bounds(mean_f(s, alphas[::_STEP]), len(table.cases)) for s in systems}
+    means = {s: mean_f(s, (alpha,))[0] for s in systems}
+    # The all-alpha flag: the bounds settle most pairs, by lo_a > hi_b
+    # everywhere or hi_a <= lo_b somewhere; the rest compare exact curves.
     flags = (
         [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs],
         [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs],
-        [all(map(gt, curves[a], curves[b])) for a, b in pairs],
+        [
+            all(map(gt, bounds[a][0], bounds[b][1]))
+            or not any(map(le, bounds[a][1], bounds[b][0]))
+            and all(map(gt, mean_f(a, alphas), mean_f(b, alphas)))
+            for a, b in pairs
+        ],
         [means[a] - means[b] > 0.0 for a, b in pairs],
     )
     values = [matrix[p].value for p in pairs]

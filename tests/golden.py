@@ -18,6 +18,12 @@ empty stderr and exit status 0.  The inputs cover:
   positive and non-zero differences alone; the other four run the full
   normal approximation.  ``compare_approx`` pairs one of each kind into an
   opposite-significant verdict.
+- ``crossing.csv``: 30 cases, 4 systems, for the all-alpha flag of
+  ``threshold_sweep_crossing``.  The convexity bounds settle ``ahead`` over
+  ``base`` as True and ``base`` over ``ahead`` as False.  They leave two
+  pairs open, which compare the full 101-point curves: ``close`` beats
+  ``base`` at every alpha, by one case's 0.01 on both metrics, and ``dip``
+  beats ``base`` at the 11 evaluated alphas but not at 0.01 to 0.09.
 - ``gold.tsv``, ``sys_a.tsv``, ``sys_b.tsv``: clusterings scored on both
   metric pairs.
 
@@ -29,7 +35,8 @@ installed package with no test extras::
 The command uses whichever ``unanimity`` the interpreter imports; set
 ``PYTHONPATH`` to the absolute path of a source tree's ``src`` to check that
 tree instead (the commands run inside ``tests/data``).  It prints each
-mismatch and exits 1 if there is one.
+mismatch, and each expected file that no command checks, and exits 1 if
+there is one.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ COMMANDS = {
     "threshold_sweep_exact": ["threshold-sweep", "--scores", "second.csv", "--significance-level", "0.25"],
     "threshold_sweep_approx": ["threshold-sweep", "--scores", "approx.csv"],
     "compare_approx": ["compare", "--scores", "approx.csv", "--a", "close", "--b", "mixed"],
+    "threshold_sweep_crossing": ["threshold-sweep", "--scores", "crossing.csv"],
     "predict": ["predict", "--reference", "scores.csv", "--collections", "scores.csv", "second.csv", "third.csv"],
 }
 
@@ -80,6 +88,11 @@ def mismatch(name: str, env: dict[str, str] | None = None) -> str | None:
     return None
 
 
+def unchecked() -> list[str]:
+    """Expected files that no command is checked against."""
+    return sorted(path.name for path in EXPECTED.iterdir() if path.stem not in COMMANDS)
+
+
 def main() -> int:
     failed = 0
     for name in COMMANDS:
@@ -87,8 +100,10 @@ def main() -> int:
         if reason:
             failed += 1
             print(f"{name}: {reason}")
+    for name in unchecked():
+        print(f"{EXPECTED.name}/{name}: no command checks it")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match")
-    return 1 if failed else 0
+    return 1 if failed or unchecked() else 0
 
 
 if __name__ == "__main__":

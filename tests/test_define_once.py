@@ -1,12 +1,12 @@
 """Code that now reuses one definition, held to the code it replaced.
 
 ``gold_consistent_pairs`` is the intersection of ``robust_set_f`` at
-threshold 0, ``threshold_sweep`` takes its grid means and its one-alpha
-means from a single ``_mean_f`` pass per system, and ``baseline_combined``
-merges the two trivial baselines.  Each is compared by ``==`` (and by
-``repr`` where 0.0 and -0.0 could differ) with ``define_once_oracle``,
-errors included.  The bivariate normal tail at r = 0, which the quadrature
-now computes, is held to ``stats_oracle``'s independent product by ``repr``.
+threshold 0, ``threshold_sweep`` computes each (system, alpha) mean at most
+once, its one-alpha mean included, and ``baseline_combined`` merges the two
+trivial baselines.  Each is compared by ``==`` (and by ``repr`` where 0.0
+and -0.0 could differ) with ``define_once_oracle``, errors included.  The
+bivariate normal tail at r = 0, which the quadrature now computes, is held
+to ``stats_oracle``'s independent product by ``repr``.
 """
 
 import math
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import define_once_oracle as oracle
 import stats_oracle
+import sweep_oracle
 from unanimity import experiments
 from unanimity.data import ScoreTable
 from unanimity.experiments import alpha_grid, gold_consistent_pairs, threshold_sweep
@@ -93,20 +94,25 @@ def test_gold_pairs_equal_the_mean_loop(tables, alpha):
 @given(st.data(), st.integers(2, 5), ALPHAS)
 def test_threshold_means_equal_the_two_passes(data, n_systems, alpha):
     table = data.draw(tables([f"s{j}" for j in range(n_systems)]))
-    passes = []
+    owner = {id(table.scores_for(s, table.metric_names[0])): s for s in table.systems}
+    evaluated = []
     mean_f = experiments._mean_f
 
     def recorded(precision, recall, alphas):
-        passes.append(mean_f(precision, recall, alphas))
-        return passes[-1]
+        values = mean_f(precision, recall, alphas)
+        evaluated.extend(zip([owner[id(precision)]] * len(alphas), alphas, values))
+        return values
 
     with mock.patch.object(experiments, "_mean_f", recorded):
         rows = threshold_sweep(table, [-1.0, 0.0, 0.5], alpha)
     curves, means = oracle.threshold_means(table, alpha)
-    assert len(passes) == len(table.systems)
-    for system, values in zip(table.systems, passes):
-        assert list(map(repr, values)) == list(map(repr, (*curves[system], means[system])))
-    assert len(rows) == 3
+    grid = alpha_grid()
+    for system, at, value in evaluated:
+        expected = curves[system][grid.index(at)] if at in grid else means[system]
+        assert repr(value) == repr(expected)
+    assert len({(system, at) for system, at, _ in evaluated}) == len(evaluated)
+    expected_rows = sweep_oracle.threshold_sweep(table, [-1.0, 0.0, 0.5], alpha)
+    assert list(map(repr, rows)) == list(map(repr, expected_rows))
 
 
 @settings(max_examples=200, deadline=None)

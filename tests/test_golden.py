@@ -17,3 +17,7 @@ import unanimity
 def test_stdout_matches_the_golden_bytes(name):
     env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
     assert golden.mismatch(name, env) is None
+
+
+def test_every_expected_file_is_checked():
+    assert golden.unchecked() == []
