@@ -27,16 +27,27 @@ empty stderr and exit status 0.  The inputs cover:
 - ``gold.tsv``, ``sys_a.tsv``, ``sys_b.tsv``: clusterings scored on both
   metric pairs.
 
+Stdout prints six decimals, so a one-ulp move of a library float cannot
+show there.  ``float_digest`` therefore writes the ``repr`` of the library's
+floats on the same inputs: every UIR matrix entry, the Wilcoxon results and
+improvement categories at three levels, the parametric UIR of every pair,
+the alpha-sweep curves, the threshold-sweep rows, the predictor-curve
+points and the four clustering metrics.  It must equal
+``tests/data/expected/library_floats.txt`` line for line.
+
 Only the standard library is used, so the check also runs against an
 installed package with no test extras::
 
     python tests/golden.py
 
+``python tests/golden.py --floats`` prints the digest instead, to rewrite
+the expected file after a deliberate move.
+
 The command uses whichever ``unanimity`` the interpreter imports; set
 ``PYTHONPATH`` to the absolute path of a source tree's ``src`` to check that
 tree instead (the commands run inside ``tests/data``).  It prints each
-mismatch, and each expected file that no command checks, and exits 1 if
-there is one.
+mismatch, and each expected file that no check reads, and exits 1 if there
+is one.
 """
 
 from __future__ import annotations
@@ -66,6 +77,61 @@ COMMANDS = {
 }
 
 
+FLOATS = EXPECTED / "library_floats.txt"
+_TABLES = ["scores.csv", "second.csv", "third.csv", "approx.csv", "crossing.csv"]
+_LEVELS = (0.01, 0.05, 0.25)
+_THRESHOLDS = [(i - 20) / 20 for i in range(41)]
+
+
+def float_digest() -> str:
+    """One line per library result on the inputs in ``tests/data``: what
+    was computed, on which input, and the ``repr`` of the result."""
+    from itertools import combinations
+
+    import unanimity as u
+
+    lines = []
+    tables = {}
+    for name in _TABLES:
+        table = u.parse_score_table((DATA / name).read_text(), collection_id=Path(name).stem)
+        tables[name] = table
+        for (a, b), result in u.pairwise_uir_matrix(table).items():
+            lines.append(f"uir {name} {a} {b} {result!r}")
+        for a, b in combinations(table.systems, 2):
+            for metric in table.metric_names:
+                result = u.wilcoxon_signed_rank(table.scores_for(a, metric), table.scores_for(b, metric))
+                lines.append(f"wilcoxon {name} {a} {b} {metric} {result!r}")
+            categories = [u.categorize_improvement(table, a, b, level).value for level in _LEVELS]
+            lines.append(f"category {name} {a} {b} {categories!r}")
+            lines.append(f"parametric_uir {name} {a} {b} {u.parametric_uir(table, a, b)!r}")
+        for system, curve in u.alpha_sweep(table).curves.items():
+            lines.append(f"alpha_sweep {name} {system} {curve!r}")
+        for row in u.threshold_sweep(table, _THRESHOLDS):
+            lines.append(f"threshold_sweep {name} {row!r}")
+    collections = [tables[name] for name in _TABLES[:3]]
+    for curve in u.predictor_curves(collections[0], collections, _THRESHOLDS):
+        for point in curve.points:
+            lines.append(f"predictor_curves {curve.predictor.value} {point!r}")
+    gold = u.parse_clustering((DATA / "gold.tsv").read_text())
+    for name in ("sys_a.tsv", "sys_b.tsv"):
+        system = u.parse_clustering((DATA / name).read_text())
+        for metric in (u.purity, u.inverse_purity, u.bcubed_precision, u.bcubed_recall):
+            lines.append(f"{metric.__name__} {name} {metric(system, gold)!r}")
+    return "".join(line + "\n" for line in lines)
+
+
+def float_mismatch() -> str | None:
+    """The first line where ``float_digest`` differs from ``FLOATS``, or None."""
+    expected = FLOATS.read_text().splitlines()
+    actual = float_digest().splitlines()
+    for number, (want, got) in enumerate(zip(expected, actual), 1):
+        if want != got:
+            return f"{FLOATS.name} line {number}: expected {want!r}, got {got!r}"
+    if len(expected) != len(actual):
+        return f"{FLOATS.name}: expected {len(expected)} lines, got {len(actual)}"
+    return None
+
+
 def run(name: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     """Run one named command; stdout and stderr come back as bytes."""
     return subprocess.run(
@@ -89,11 +155,16 @@ def mismatch(name: str, env: dict[str, str] | None = None) -> str | None:
 
 
 def unchecked() -> list[str]:
-    """Expected files that no command is checked against."""
-    return sorted(path.name for path in EXPECTED.iterdir() if path.stem not in COMMANDS)
+    """Expected files that no command or digest is checked against."""
+    return sorted(
+        path.name for path in EXPECTED.iterdir() if path.stem not in COMMANDS and path != FLOATS
+    )
 
 
 def main() -> int:
+    if sys.argv[1:] == ["--floats"]:
+        sys.stdout.write(float_digest())
+        return 0
     failed = 0
     for name in COMMANDS:
         reason = mismatch(name)
@@ -103,7 +174,9 @@ def main() -> int:
     for name in unchecked():
         print(f"{EXPECTED.name}/{name}: no command checks it")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands match")
-    return 1 if failed or unchecked() else 0
+    reason = float_mismatch()
+    print(reason or f"{FLOATS.name} matches")
+    return 1 if failed or reason or unchecked() else 0
 
 
 if __name__ == "__main__":

@@ -21,3 +21,7 @@ def test_stdout_matches_the_golden_bytes(name):
 
 def test_every_expected_file_is_checked():
     assert golden.unchecked() == []
+
+
+def test_library_floats_match_the_digest():
+    assert golden.float_mismatch() is None
