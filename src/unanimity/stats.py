@@ -5,8 +5,9 @@ behavior is part of this package's contract: zero differences are dropped,
 tied magnitudes share average ranks, and for small samples the two-sided
 p-value comes from the exact distribution of the rank sum over all sign
 assignments.  The parametric estimate fits a bivariate normal to per-case
-score differences and integrates it over the positive and negative
-quadrants with deterministic Gauss-Legendre quadrature.
+score differences and takes its positive- minus negative-quadrant mass
+in closed form.  ``orthant_probability`` integrates one quadrant with
+deterministic Gauss-Legendre quadrature.
 
 Everything here is plain Python: the inputs are small (tens of ranks, 2 x 2
 covariances, at most 20 quadrature nodes), and floats are accumulated in
@@ -407,15 +408,20 @@ def _bvn_upper_tail(h: float, k: float, r: float) -> float:
     if h < -_FAR or k < -_FAR:
         # The far bound always holds; the other one alone sets the tail.
         return _ndtr(-max(h, k))
+    tp = 2.0 * math.pi
+    hk = h * k
+    bvn = 0.0
     if abs(r) < 0.925:
-        return _arcsine_tails(h, k, r)[0]
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r) / 2.0
+        for node, weight in zip(*_GAUSS_LEGENDRE[6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20]):
+            sn = math.sin(asr * (1.0 + node))
+            bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
+        return min(1.0, max(0.0, bvn * asr / tp + _ndtr(-h) * _ndtr(-k)))
 
     # |r| >= 0.925 takes the 20-point rule.  Each node is shifted onto (0, 2);
     # symmetry of the nodes covers both halves of the interval.
     rule_nodes, rule_weights = _GAUSS_LEGENDRE[20]
-    tp = 2.0 * math.pi
-    hk = h * k
-    bvn = 0.0
     if r < 0.0:
         k = -k
         hk = -hk
@@ -462,22 +468,6 @@ def _bvn_upper_tail(h: float, k: float, r: float) -> float:
     return min(1.0, max(0.0, bvn))
 
 
-def _arcsine_tails(h: float, k: float, r: float) -> tuple[float, float]:
-    """P(X > h, Y > k) and P(X > -h, Y > -k) for |r| < 0.925, from one
-    quadrature over the arcsine reparameterization: it depends on h and k
-    only through h * k and h * h + k * k, which the two orthants share."""
-    hk = h * k
-    hs = (h * h + k * k) / 2.0
-    asr = math.asin(r) / 2.0
-    bvn = 0.0
-    for node, weight in zip(*_GAUSS_LEGENDRE[6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20]):
-        sn = math.sin(asr * (1.0 + node))
-        bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
-    bvn = bvn * asr / (2.0 * math.pi)
-    upper, lower = bvn + _ndtr(-h) * _ndtr(-k), bvn + _ndtr(h) * _ndtr(k)
-    return min(1.0, max(0.0, upper)), min(1.0, max(0.0, lower))
-
-
 def _bounds(model: BivariateNormalModel) -> tuple[float, float, float]:
     """``_bvn_upper_tail``'s arguments for the model's positive quadrant.  A
     zero-variance coordinate is a point mass at its mean, so its bound is
@@ -501,15 +491,14 @@ def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     """Difference between positive- and negative-quadrant mass of the fitted
     difference model; a smoothed stand-in for the UIR, in [-1, 1].
 
+    By inclusion-exclusion the difference is P(dP > 0) + P(dR > 0) - 1 for
+    any correlation, which is (erf(mu_p / sqrt(2 v_p)) + erf(mu_r /
+    sqrt(2 v_r))) / 2; ``REGULARIZATION`` keeps both variances positive.
     Exactly antisymmetric in the two systems: swapping them negates every
-    fitted difference, which mirrors the mean and keeps the covariance.
+    fitted mean and keeps the covariance, and erf is odd.
     """
     p_col, r_col = metric_pair_columns(table)
     delta_p = list(map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col)))
     delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
-    dh, dk, rho = _bounds(_fit(delta_p, delta_r))
-    # The mirrored model's bounds are these negated, at the same correlation.
-    if abs(rho) < 0.925 and abs(dh) <= _FAR and abs(dk) <= _FAR:
-        positive, negative = _arcsine_tails(dh, dk, rho)
-        return positive - negative
-    return _bvn_upper_tail(dh, dk, rho) - _bvn_upper_tail(-dh, -dk, rho)
+    (mu_p, mu_r), ((v_p, _), (_, v_r)) = _fit(delta_p, delta_r)
+    return 0.5 * (math.erf(mu_p / math.sqrt(2.0 * v_p)) + math.erf(mu_r / math.sqrt(2.0 * v_r)))

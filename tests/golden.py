@@ -6,8 +6,8 @@ empty stderr and exit status 0.  The inputs cover:
 
 - ``scores.csv``: 24 cases, more than ``EXACT_CUTOFF``, so the Wilcoxon test
   takes its normal approximation; ``collinear`` and ``opposed`` differ from
-  ``base`` with correlations near +1 and -1, which puts the parametric UIR on
-  the high-correlation quadrature; ``tied`` has zero differences and ties.
+  ``base`` with correlations near +1 and -1, which the closed-form parametric
+  UIR must not depend on; ``tied`` has zero differences and ties.
 - ``second.csv`` and ``third.csv``: two smaller collections (exact Wilcoxon)
   for ``predict``.  ``threshold_sweep_exact`` sweeps ``second.csv`` at level
   0.25: there ``base`` and ``tied`` differ with one sign on each metric, at
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -86,8 +87,6 @@ _THRESHOLDS = [(i - 20) / 20 for i in range(41)]
 def float_digest() -> str:
     """One line per library result on the inputs in ``tests/data``: what
     was computed, on which input, and the ``repr`` of the result."""
-    from itertools import combinations
-
     import unanimity as u
 
     lines = []

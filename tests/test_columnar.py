@@ -4,7 +4,8 @@ The oracles walk the table cell by cell: one ``unanimous_compare`` per case
 for UIR, a left-to-right sum of the scalar ``bounds_oracle.f_measure`` for
 mean F, per-case deltas for the parametric UIR.  Random tables draw from a
 few repeated values (ties, 0.0 and 1.0) and from the whole unit interval,
-with one to three metrics; every comparison is ``==``.
+with one to three metrics; every comparison is ``==``, except that the
+parametric UIR is also held within 1e-15 of the quadrant quadrature.
 """
 
 from hypothesis import given, settings
@@ -77,14 +78,13 @@ def oracle_mean_f(table, system, alpha):
     return total / len(table.cases)
 
 
-def oracle_parametric_uir(table, sys_a, sys_b):
+def oracle_difference_model(table, sys_a, sys_b):
     p_col, r_col = metric_pair_columns(table)
     deltas = []
     for case in table.cases:
         va, vb = table.cell(case, sys_a), table.cell(case, sys_b)
         deltas.append((va[p_col] - vb[p_col], va[r_col] - vb[r_col]))
-    model = fit_bivariate_normal(deltas)
-    return orthant_probability(model) - orthant_probability(model.mirrored())
+    return fit_bivariate_normal(deltas)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,7 +127,10 @@ def test_mean_f_and_alpha_sweep_match_sequential_sum(table, alphas):
 @given(tables(metrics=st.just(2), systems=st.integers(2, 4), cases=st.integers(3, 8)))
 def test_parametric_uir_matches_per_case_deltas(table):
     a, b = table.systems[:2]
-    assert parametric_uir(table, a, b) == oracle_parametric_uir(table, a, b)
+    model = oracle_difference_model(table, a, b)
+    value = parametric_uir(table, a, b)
+    assert value == bounds_oracle.quadrant_difference(model)
+    assert abs(value - (orthant_probability(model) - orthant_probability(model.mirrored()))) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
-"""The packed-rank comparison, the one-signed Wilcoxon rule and the shared
-orthant quadrature, against the code they replaced.
+"""The packed-rank comparison and the one-signed Wilcoxon rule, against the
+code they replaced, and the parametric UIR against its oracles.
 
 ``kernel_oracle`` keeps the boolean-list and byte-mask UIR counts and the
-improvement categories from one signed-rank test per metric;
-``bounds_oracle`` keeps the one-orthant quadrature.  Every ``UirResult``,
-category, sweep row and parametric UIR must be ``repr``-equal to them.
+improvement categories from one signed-rank test per metric.  Every
+``UirResult``, category and sweep row must be ``repr``-equal to them.  The
+parametric UIR must be ``repr``-equal to ``bounds_oracle``'s closed form and
+within 1e-15 of its quadrature, in both of the quadrature's branches.
 """
 
 import math
@@ -23,11 +24,9 @@ from conftest import make_table, random_table
 from unanimity.data import ScoreTable
 from unanimity.experiments import predictor_curves, threshold_sweep
 from unanimity.stats import (
-    _FAR,
     EXACT_CUTOFF,
     BivariateNormalModel,
     ImprovementCategory,
-    _arcsine_tails,
     _bounds,
     _categories,
     _fit,
@@ -197,24 +196,13 @@ class TestOneSignedVerdict:
             threshold_sweep(table, [0.0], significance_level=level)
 
 
-MODERATE = st.one_of(
-    st.sampled_from((0.0, -0.0, 0.3, -0.3, 0.75, -0.75, math.nextafter(0.925, 0.0))),
-    st.floats(-0.925, 0.925, exclude_min=True, exclude_max=True),
-)
-BOUNDS = st.one_of(
-    st.floats(-_FAR, _FAR),
-    st.floats(-40.0, 40.0),
-    st.sampled_from((0.0, -0.0, 5e-324, 38.5, -38.5, _FAR, -_FAR)),
-)
+def check_parametric_uir(table, a, b):
+    value = parametric_uir(table, a, b)
+    assert repr(value) == repr(bounds_oracle.parametric_uir_closed_form(table, a, b))
+    assert abs(value - bounds_oracle.parametric_uir(table, a, b)) <= 1e-15
 
 
 class TestSharedQuadrature:
-    @settings(max_examples=3000, deadline=None)
-    @given(BOUNDS, BOUNDS, MODERATE)
-    def test_one_sum_serves_both_orthants(self, h, k, r):
-        expected = (bounds_oracle.bvn_upper_tail(h, k, r), bounds_oracle.bvn_upper_tail(-h, -k, r))
-        assert repr(_arcsine_tails(h, k, r)) == repr(expected)
-
     @pytest.mark.parametrize(
         "slope, noise, branch",
         [(1.0, 0.001, "high"), (-1.0, 0.001, "high"), (0.5, 0.3, "moderate"), (0.0, 0.3, "moderate")],
@@ -232,13 +220,13 @@ class TestSharedQuadrature:
         rho = _bounds(_fit(delta_p, delta_r))[2]
         assert (abs(rho) < 0.925) == (branch == "moderate")
         for a, b in (("a", "b"), ("b", "a")):
-            assert repr(parametric_uir(table, a, b)) == repr(bounds_oracle.parametric_uir(table, a, b))
+            check_parametric_uir(table, a, b)
 
     def test_wide_table_pairs_equal_the_oracle(self):
         table = random_table(np.random.default_rng(3), 20, 12)
         for i, a in enumerate(table.systems):
             for b in table.systems[i + 1 :]:
-                assert repr(parametric_uir(table, a, b)) == repr(bounds_oracle.parametric_uir(table, a, b))
+                check_parametric_uir(table, a, b)
 
 
 INF = math.inf

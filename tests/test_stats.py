@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, roots_legendre
 from scipy.stats import rankdata
 
+import bounds_oracle
 import stats_oracle as oracle
 from unanimity.stats import (
     EXACT_CUTOFF,
@@ -496,8 +497,10 @@ class TestParametricUir:
                 (va["m0"] - vb["m0"], va["m1"] - vb["m1"])
             )
         model = fit_bivariate_normal(deltas)
-        expected = orthant_probability(model) - orthant_probability(model.mirrored())
-        assert parametric_uir(table, a, b) == expected
+        value = parametric_uir(table, a, b)
+        assert value == bounds_oracle.quadrant_difference(model)
+        quadrature = orthant_probability(model) - orthant_probability(model.mirrored())
+        assert abs(value - quadrature) <= 1e-15
 
     def test_needs_three_cases(self):
         table = random_table(np.random.default_rng(44), n_cases=2, n_systems=2)
