@@ -10,6 +10,7 @@ hold on every other collection.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, combinations
@@ -79,10 +80,9 @@ def _convex_bounds(points: Sequence[float], n: int) -> tuple[list[float], list[f
         for i in range(1, _STEP):
             t, s = i / _STEP, (_STEP - i) / _STEP
             hi.append(y0 + (y1 - y0) * t + margin)
-            below = [y0 + (y0 - points[q - 2]) * t] if q > 1 else []
-            if q + 1 < len(points):
-                below.append(y1 + (y1 - points[q + 1]) * s)
-            lo.append(max(below) - margin)
+            left = y0 + (y0 - points[q - 2]) * t if q > 1 else -math.inf
+            right = y1 + (y1 - points[q + 1]) * s if q + 1 < len(points) else -math.inf
+            lo.append(max(left, right) - margin)
         lo.append(y1)
         hi.append(y1)
     return lo, hi
@@ -255,11 +255,9 @@ def predictor_curves(
     systems = reference.systems
     pairs = [(a, b) for a in systems for b in systems if a != b]
     parametric: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(systems):
-        for b in systems[i + 1 :]:
-            value = parametric_uir(reference, a, b)
-            parametric[(a, b)] = value
-            parametric[(b, a)] = -value
+    for a, b in combinations(systems, 2):
+        parametric[a, b] = value = parametric_uir(reference, a, b)
+        parametric[b, a] = -value
     scores = {
         Predictor.UIR: [matrix[p].value for p in pairs],
         Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],

@@ -17,6 +17,7 @@ from itertools import chain
 from typing import AbstractSet, Iterable, Sequence
 
 from unanimity.data import (
+    _SCORE_MAX,
     Clustering,
     GoldStandard,
     MetricVector,
@@ -166,11 +167,11 @@ def f_measure(precision: float, recall: float, alpha: float = 0.5) -> float:
     ``alpha`` is the relative weight of the precision-like component: 1 keeps
     only precision, 0 only recall, 0.5 gives the plain harmonic mean.  The
     formula is extended by continuity with value 0 whenever a component with
-    positive weight is 0.
+    positive weight is 0.  A component may exceed 1 by 1e-9, as in a score table.
     """
     _check_alpha(alpha)
     for name, value in (("precision", precision), ("recall", recall)):
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= _SCORE_MAX:
             raise ValueError(f"{name} {value} outside [0, 1]")
     return _mean_f((precision,), (recall,), (alpha,))[0]
 

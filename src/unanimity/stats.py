@@ -211,11 +211,7 @@ def categorize_improvement(
 def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks=None) -> dict:
     """``categorize_improvement`` of each pair, both ways round, from one
     packing of the table, or from ``ranks`` if given."""
-    names = table.metric_names
-    if len(names) != 2:
-        raise ValueError(
-            f"improvement categories need exactly 2 metrics, table has {len(names)}"
-        )
+    names = metric_pair_columns(table)
     ranks = ranks or _PackedRanks(table, [s for pair in pairs for s in pair])
     _check_level(significance_level)
     # A column whose p is bounded below this is significant without its test:
@@ -468,9 +464,10 @@ def _bvn_upper_tail(h: float, k: float, r: float) -> float:
     return min(1.0, max(0.0, bvn))
 
 
-def _bounds(model: BivariateNormalModel) -> tuple[float, float, float]:
-    """``_bvn_upper_tail``'s arguments for the model's positive quadrant.  A
-    zero-variance coordinate is a point mass at its mean, so its bound is
+def orthant_probability(model: BivariateNormalModel) -> float:
+    """Mass of the model on the quadrant where both differences are >= 0.
+
+    A zero-variance coordinate is a point mass at its mean, so its bound is
     -inf when the mean is >= 0 and +inf otherwise."""
     mu = model.mean
     cov = model.covariance
@@ -479,12 +476,7 @@ def _bounds(model: BivariateNormalModel) -> tuple[float, float, float]:
     dh = -mu[0] / s1 if s1 else (-math.inf if mu[0] >= 0.0 else math.inf)
     dk = -mu[1] / s2 if s2 else (-math.inf if mu[1] >= 0.0 else math.inf)
     rho = min(1.0, max(-1.0, cov[0][1] / (s1 * s2))) if s1 and s2 else 0.0
-    return dh, dk, rho
-
-
-def orthant_probability(model: BivariateNormalModel) -> float:
-    """Mass of the model on the quadrant where both differences are >= 0."""
-    return _bvn_upper_tail(*_bounds(model))
+    return _bvn_upper_tail(dh, dk, rho)
 
 
 def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:

@@ -132,15 +132,20 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
     return _packed_matrix(table)[1]
 
 
+def _check_pairs(n_systems: int) -> None:
+    """Refuse more than ``MAX_PAIRS`` ordered pairs, before any is built."""
+    n_pairs = n_systems * (n_systems - 1)
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(
+            f"table has {n_systems} systems, {n_pairs} ordered pairs; "
+            f"at most {MAX_PAIRS} are allowed"
+        )
+
+
 def _packed_matrix(table: ScoreTable) -> tuple[_PackedRanks, dict[tuple[str, str], UirResult]]:
     """Every system packed, once ``MAX_PAIRS`` is checked, and the matrix."""
     systems = table.systems
-    n_pairs = len(systems) * (len(systems) - 1)
-    if n_pairs > MAX_PAIRS:
-        raise ValueError(
-            f"table has {len(systems)} systems, {n_pairs} ordered pairs; "
-            f"at most {MAX_PAIRS} are allowed"
-        )
+    _check_pairs(len(systems))
     ranks = _PackedRanks(table, systems)
     matrix: dict[tuple[str, str], UirResult] = {}
     for sys_a, sys_b in combinations(systems, 2):
@@ -154,10 +159,11 @@ def best_rival(
 ) -> tuple[str, float] | None:
     """The rival with the highest UIR over a system, given ``{rival:
     UIR(rival, system)}``, as ``(rival_id, uir_value)``; None unless that
-    value exceeds the threshold.  Ties pick the smallest id."""
+    value is strictly above the threshold, so a NaN threshold admits no
+    rival.  Ties pick the smallest id."""
     # max keeps the first of equal values, so sorting first breaks ties.
     best = max(sorted(uir_over), key=uir_over.__getitem__, default=None)
-    if best is None or uir_over[best] <= threshold:
+    if best is None or not uir_over[best] > threshold:
         return None
     return best, uir_over[best]
 
@@ -168,7 +174,7 @@ def reference_system(
     """The rival that most unanimously improves over ``system``.
 
     Returns ``(rival_id, uir_value)`` maximizing UIR(rival, system), or None
-    when no rival exceeds the threshold.  Ties pick the smallest id.
+    when no rival is strictly above the threshold.  Ties pick the smallest id.
     """
     ranks = _PackedRanks(table, (system, *table.systems))  # an unknown system raises first
     others = (other for other in table.systems if other != system)
@@ -191,5 +197,6 @@ def robust_set_f(
 
 
 def _f_gains(means: Mapping[str, float], threshold: float) -> set[tuple[str, str]]:
-    """``robust_set_f`` from each system's mean F."""
+    """``robust_set_f`` from each system's mean F, once ``MAX_PAIRS`` is checked."""
+    _check_pairs(len(means))
     return {(a, b) for a in means for b in means if a != b and means[a] - means[b] > threshold}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from operator import sub
 
+from unanimity.data import _SCORE_MAX
 from unanimity.metrics import _check_alpha, metric_pair_columns
 from unanimity.stats import _GAUSS_LEGENDRE, _fit, _ndtr
 
@@ -147,7 +148,7 @@ def f_measure(precision: float, recall: float, alpha: float = 0.5) -> float:
     """``1 / (alpha/p + (1 - alpha)/r)``, 0 where a weighted component is 0."""
     _check_alpha(alpha)
     for name, value in (("precision", precision), ("recall", recall)):
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= _SCORE_MAX:
             raise ValueError(f"{name} {value} outside [0, 1]")
     if alpha > 0.0 and precision == 0.0:
         return 0.0

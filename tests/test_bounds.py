@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import bounds_oracle as oracle
 from conftest import make_table
+from unanimity.data import _SCORE_MAX
 from unanimity.metrics import f_measure
 from unanimity.stats import (
     _FAR,
@@ -168,7 +169,7 @@ def test_parametric_uir_equals_the_mirrored_model(table):
 
 
 COMPONENTS = st.one_of(
-    st.sampled_from((0.0, -0.0, 1.0, 5e-324, 0.5)),
+    st.sampled_from((0.0, -0.0, 1.0, 5e-324, 0.5, _SCORE_MAX, math.nextafter(_SCORE_MAX, 2.0))),
     st.floats(0.0, 1.0),
     st.floats(-1.0, 2.0),
     st.just(NAN),

@@ -1,9 +1,11 @@
 """Metric definitions against brute-force oracles and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from unanimity.data import Clustering, ValidationError
+from unanimity.data import _SCORE_MAX, Clustering, ValidationError
 from unanimity.metrics import (
     MetricPair,
     baseline_all_in_one,
@@ -249,6 +251,19 @@ class TestFMeasure:
     def test_score_outside_range_rejected(self):
         with pytest.raises(ValueError):
             f_measure(1.5, 0.5)
+        with pytest.raises(ValueError, match="precision"):
+            f_measure(math.nextafter(_SCORE_MAX, 2.0), 0.5)
+        assert f_measure(_SCORE_MAX, 0.5) > 0.5
+        # A perfect clustering's own scores: shares 0.4, 0.2, 0.3 and 0.1
+        # sum to 1 + 2.2e-16, which score tables accept and so must F.
+        gold = Clustering(
+            {"a": frozenset("abcd"), "b": frozenset("ef"), "c": frozenset("ghi"), "d": frozenset("j")}
+        )
+        precision, recall = score_pair(gold, gold).values()
+        assert precision > 1.0 and recall > 1.0
+        assert f_measure(precision, recall) == mean_f_measure(
+            make_table({"g": [(precision, recall)]}), "g"
+        )
 
 
 class TestBaselines:

@@ -27,7 +27,6 @@ from unanimity.stats import (
     EXACT_CUTOFF,
     BivariateNormalModel,
     ImprovementCategory,
-    _bounds,
     _categories,
     _fit,
     categorize_improvement,
@@ -217,7 +216,8 @@ class TestSharedQuadrature:
         table = make_table(scores)
         delta_p = [x - y for x, y in zip(table.scores_for("a", "precision"), table.scores_for("b", "precision"))]
         delta_r = [x - y for x, y in zip(table.scores_for("a", "recall"), table.scores_for("b", "recall"))]
-        rho = _bounds(_fit(delta_p, delta_r))[2]
+        cov = _fit(delta_p, delta_r).covariance
+        rho = min(1.0, max(-1.0, cov[0][1] / (math.sqrt(cov[0][0]) * math.sqrt(cov[1][1]))))
         assert (abs(rho) < 0.925) == (branch == "moderate")
         for a, b in (("a", "b"), ("b", "a")):
             check_parametric_uir(table, a, b)

@@ -27,7 +27,8 @@ from unanimity.stats import (
     _rank_sums,
     fit_bivariate_normal,
 )
-from unanimity.uir import MAX_PAIRS, pairwise_uir_matrix, unanimous_improvement_ratio
+from unanimity.experiments import gold_consistent_pairs
+from unanimity.uir import MAX_PAIRS, pairwise_uir_matrix, robust_set_f, unanimous_improvement_ratio
 
 # The cached function's computation, so that every call here is a fresh one.
 packed_null_cumulative = _null_cumulative.__wrapped__
@@ -214,6 +215,16 @@ class TestPairLimit:
         assert len(pairwise_uir_matrix(one_case_table(3))) == 6
         with pytest.raises(ValueError, match="4 systems, 12 ordered pairs; at most 6"):
             pairwise_uir_matrix(one_case_table(4))
+        # The mean-F pair sets share the bound.  Every score is equal, so
+        # every gap is 0: above -1, and positive in no collection.
+        assert robust_set_f(one_case_table(3), -1.0) == {
+            (a, b) for a in ("s0", "s1", "s2") for b in ("s0", "s1", "s2") if a != b
+        }
+        assert gold_consistent_pairs([one_case_table(3)] * 2) == set()
+        with pytest.raises(ValueError, match="4 systems, 12 ordered pairs; at most 6"):
+            robust_set_f(one_case_table(4), 0.0)
+        with pytest.raises(ValueError, match="4 systems, 12 ordered pairs; at most 6"):
+            gold_consistent_pairs([one_case_table(4)] * 2)
 
     def test_1001_systems_refused(self):
         with pytest.raises(ValueError, match="1001 systems, 1001000 ordered pairs"):

@@ -330,7 +330,7 @@ class TestCategorize:
 
     def test_needs_two_metrics(self):
         table = random_table(np.random.default_rng(37), 4, 2, n_metrics=3)
-        with pytest.raises(ValueError, match="exactly 2 metrics"):
+        with pytest.raises(ValueError, match="table has 3 metrics; narrow it to one metric pair first"):
             categorize_improvement(table, *table.systems)
 
 

@@ -1,5 +1,7 @@
 """Unanimous comparison semantics and UIR algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unanimity.data import MetricVector, ScoreTable
 from unanimity.uir import (
     RelationOutcome,
     UirResult,
+    best_rival,
     pairwise_uir_matrix,
     reference_system,
     robust_set_f,
@@ -213,6 +216,13 @@ class TestReferenceSystem:
         )
         assert reference_system(table, "A") == ("B", pytest.approx(2 / 3))
         assert reference_system(table, "A", threshold=0.9) is None
+
+    def test_nan_threshold_admits_no_rival(self):
+        # The rule every pair set uses: strictly above, which NaN never is.
+        table = make_table({"A": [(0.5, 0.5)], "B": [(0.6, 0.6)]})
+        assert reference_system(table, "A", threshold=math.nan) is None
+        assert best_rival({"x": -0.5}, math.nan) is None
+        assert best_rival({"x": -0.5}, -1.0) == ("x", -0.5)
 
     def test_tie_breaks_to_smaller_id(self):
         table = make_table(
