@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
+from collections import defaultdict
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -29,11 +31,13 @@ class ValidationError(ValueError):
     """A clustering pair or score table fails a consistency check."""
 
 
-def _check_item(token: str) -> None:
-    # One pass: split() breaks on exactly the characters isspace() accepts,
-    # and gives [] for the empty string.
-    if token.split() != [token]:
-        raise ValueError(f"item id contains whitespace: {token!r}" if token else "empty item id")
+def _check_items(items: list[str]) -> None:
+    """Refuse an empty item id, or one with whitespace, naming the first.  The
+    joined items split back into the same list only when every one passes:
+    split() breaks on exactly what isspace() accepts and drops empty ids."""
+    if " ".join(items).split() != items:
+        bad = next(item for item in items if item.split() != [item])
+        raise ValueError(f"item id contains whitespace: {bad!r}" if bad else "empty item id")
 
 
 class _Value:
@@ -85,8 +89,7 @@ class Clustering(_Value):
             members = frozenset(members)
             if not members:
                 raise ValueError(f"cluster {label!r} is empty")
-            for item in members:
-                _check_item(item)
+            _check_items(list(members))
             frozen[label] = members
         self.__dict__["clusters"] = frozen
 
@@ -148,8 +151,54 @@ def parse_clustering(source: str | TextIO) -> Clustering:
     Malformed lines and duplicate memberships are rejected with their line
     number.
     """
+    lines = _read_lines(source)
+    memberships = _filed_memberships(lines) or _membership_walk(lines)
+    # Freeze in place, so each parse-time set is freed as soon as it is copied.
+    for label, members in memberships.items():
+        memberships[label] = frozenset(members)
+    return Clustering._of(memberships)
+
+
+# The parsers check and file this many lines at once.  A file that fails a
+# check is read again line by line, which names its first bad line.
+_BLOCK_LINES = 512
+
+
+def _filed_memberships(lines: list[str]) -> dict[str, set[str]] | None:
+    """The memberships, a block of lines at a time; None on any error, and
+    when there are none."""
+    memberships, n = defaultdict(set), 0
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        # Lines hold no "\n", so one "\n" follows each joint and starts a line.
+        text = "\t\n".join(block)
+        if text.startswith("#") or "\n#" in text:
+            block = [line for line in block if not line.startswith("#")]
+            if not block:
+                continue
+            text = "\t\n".join(block)
+        fields = text.split("\t")
+        items, labels = fields[1::2], "".join(fields[0::2]).split("\n")
+        try:
+            _check_items(items)
+        except ValueError:
+            return None
+        # No item holds a "\n", so each line starts an even field, and 2
+        # fields per line means one tab in each line.
+        if len(fields) != 2 * len(block) or "" in labels:
+            return None
+        for label, item in zip(labels, items):
+            memberships[label].add(item)
+        n += len(items)
+    # A duplicate membership adds nothing to its set.  A plain dict, so that
+    # looking up a missing label cannot add it.
+    return dict(memberships) if memberships and sum(map(len, memberships.values())) == n else None
+
+
+def _membership_walk(lines: list[str]) -> dict[str, set[str]]:
+    """The memberships, line by line: raises the first error in the file."""
     memberships: dict[str, set[str]] = {}
-    for lineno, line in enumerate(_read_lines(source), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -161,7 +210,7 @@ def parse_clustering(source: str | TextIO) -> Clustering:
         if not label:
             raise ParseError("empty cluster label", line=lineno)
         try:
-            _check_item(item)
+            _check_items([item])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         members = memberships.setdefault(label, set())
@@ -170,10 +219,7 @@ def parse_clustering(source: str | TextIO) -> Clustering:
         members.add(item)
     if not memberships:
         raise ParseError("no clusters")
-    # Freeze in place, so each parse-time set is freed as soon as it is copied.
-    for label, members in memberships.items():
-        memberships[label] = frozenset(members)
-    return Clustering._of(memberships)
+    return memberships
 
 
 def serialize_clustering(clustering: Clustering) -> str:
@@ -282,7 +328,6 @@ def _build_columns(
     with one tuple of scores in case order per (system, metric).
     """
     cases: dict[str, None] = {}
-    metrics: dict[str, None] = {}
     filed: dict[tuple[str, str], dict[str, float]] = {}
     for line, case, system, metric, value in rows:
         if not case or not system or not metric:
@@ -293,14 +338,20 @@ def _build_columns(
         column = filed.get((system, metric))
         if column is None:
             column = filed[system, metric] = {}
-            metrics[metric] = None
         elif case in column:
             raise error(f"duplicate score for ({case}, {system}, {metric})", line)
         column[case] = value
         cases[case] = None
+    return _dense_columns(cases, filed, error)
+
+
+def _dense_columns(cases: dict[str, None], filed: dict[tuple[str, str], dict[str, float]], error):
+    """``_build_columns`` from each (system, metric) column's scores by case,
+    filed in first-appearance order with no duplicate."""
     if not filed:
         raise error("no scores", None)
     systems = dict.fromkeys(system for system, _ in filed)
+    metrics = dict.fromkeys(metric for _, metric in filed)
     # Duplicates are rejected above, so a short count means a missing score.
     if sum(map(len, filed.values())) != len(cases) * len(systems) * len(metrics):
         missing = next(
@@ -434,13 +485,57 @@ def parse_score_table(
     With ``percent=True`` scores are divided by 100 on ingest.  Scores outside
     [0, 1] after rescaling are rejected.
     """
-    rows = csv.reader(_read_lines(source))
-    try:
-        columns = _build_columns(_score_rows(rows, percent), ParseError)
-    except csv.Error as exc:
-        # Such as a field longer than csv.field_size_limit().
-        raise ParseError(str(exc), line=rows.line_num) from None
+    lines = _read_lines(source)
+    columns = _filed_columns(lines, percent)
+    if columns is None:
+        rows = csv.reader(lines)
+        try:
+            columns = _build_columns(_score_rows(rows, percent), ParseError)
+        except csv.Error as exc:
+            # Such as a field longer than csv.field_size_limit().
+            raise ParseError(str(exc), line=rows.line_num) from None
     return ScoreTable._of(collection_id, *columns)
+
+
+def _filed_columns(lines: list[str], percent: bool):
+    """``_build_columns`` of the records, a block of lines at a time; None
+    when a line fails a check or a score repeats."""
+    cases, filed, n = {}, defaultdict(dict), 0
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        try:
+            # Strict: a quote still open at the block's end raises, where it
+            # would end the record.
+            records = list(csv.reader(block, strict=True))
+        except csv.Error:
+            return None
+        # A record that read past its own line has a quoted line break.
+        if len(records) != len(block):
+            return None
+        if start == 0 and tuple(map(str.strip, records.pop(0))) != SCORE_HEADER:
+            return None
+        records = list(filter(None, records))
+        if set(map(len, records)) - {4}:
+            return None
+        fields = list(map(str.strip, itertools.chain.from_iterable(records)))
+        try:
+            values = list(map(float, fields[3::4]))
+        except ValueError:
+            return None
+        values = [value / 100.0 for value in values] if percent else values
+        names = fields[0::4], fields[1::4], fields[2::4]
+        if any("" in column for column in names) or any(map(math.isnan, values)):
+            return None
+        if min(values, default=0.0) < 0.0 or max(values, default=0.0) > _SCORE_MAX:
+            return None
+        for key, case, value in zip(zip(names[1], names[2]), names[0], values):
+            filed[key][case] = value
+        cases.update(dict.fromkeys(names[0]))
+        n += len(values)
+    # A duplicate score replaces the first; an empty file has no header.
+    if not lines or sum(map(len, filed.values())) != n:
+        return None
+    return _dense_columns(cases, filed, ParseError)
 
 
 def _score_rows(rows, percent: bool) -> Iterator[tuple[int, str, str, str, float]]:

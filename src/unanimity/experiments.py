@@ -14,13 +14,13 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, combinations
-from operator import gt, le
+from operator import gt, le, neg
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, _categories, parametric_uir
-from unanimity.uir import _f_gains, _packed_matrix, pairwise_uir_matrix
+from unanimity.uir import _check_pairs, _f_gains, _packed_matrix, _PackedRanks
 
 ALPHA_GRID_POINTS = 101
 _STEP = 10  # threshold_sweep computes every _STEP-th grid alpha's mean F first
@@ -247,24 +247,24 @@ def predictor_curves(
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
-    matrix = pairwise_uir_matrix(reference)
+    systems = reference.systems
+    _check_pairs(len(systems))
+    ranks = _PackedRanks(reference, systems)
     target, collection_means = _gold_consistent(collections, alpha)
     if not target:
         raise ValueError("no gold-consistent pairs across the collections")
     means = collection_means[collections.index(reference)]
-    systems = reference.systems
-    pairs = [(a, b) for a in systems for b in systems if a != b]
-    parametric: dict[tuple[str, str], float] = {}
-    for a, b in combinations(systems, 2):
-        parametric[a, b] = value = parametric_uir(reference, a, b)
-        parametric[b, a] = -value
+    # Each unordered pair once; its mirror is the negated value.  The counts
+    # above a threshold do not depend on the pairs' order.
+    pairs = list(combinations(systems, 2))
     scores = {
-        Predictor.UIR: [matrix[p].value for p in pairs],
+        Predictor.UIR: [ranks.uir(a, b).value for a, b in pairs],
         Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],
-        Predictor.PARAMETRIC_UIR: [parametric[p] for p in pairs],
+        Predictor.PARAMETRIC_UIR: [parametric_uir(reference, a, b) for a, b in pairs],
     }
-
-    in_target = ([p in target for p in pairs],)
+    for values in scores.values():
+        values += list(map(neg, values))
+    in_target = ([(a, b) in target for a, b in pairs] + [(b, a) in target for a, b in pairs],)
     curves = []
     for predictor in Predictor:
         points = tuple(

@@ -26,6 +26,12 @@ empty stderr and exit status 0.  The inputs cover:
   beats ``base`` at the 11 evaluated alphas but not at 0.01 to 0.09.
 - ``gold.tsv``, ``sys_a.tsv``, ``sys_b.tsv``: clusterings scored on both
   metric pairs.
+- ``quoted.csv``: a score file as people write one by hand, with a system
+  id that holds a comma (so it is quoted, and quoted again on output), a
+  quoted score, spaces around fields and blank lines.
+- ``gold_comments.tsv``, ``sys_comments.tsv``: a clustering pair with
+  ``#`` comment lines, among them commented-out memberships, and an item
+  id that starts with ``#``.
 
 Stdout prints six decimals, so a one-ulp move of a library float cannot
 show there.  ``float_digest`` therefore writes the ``repr`` of the library's
@@ -75,6 +81,9 @@ COMMANDS = {
     "compare_approx": ["compare", "--scores", "approx.csv", "--a", "close", "--b", "mixed"],
     "threshold_sweep_crossing": ["threshold-sweep", "--scores", "crossing.csv"],
     "predict": ["predict", "--reference", "scores.csv", "--collections", "scores.csv", "second.csv", "third.csv"],
+    "rank_quoted": ["rank", "--scores", "quoted.csv"],
+    "compare_quoted": ["compare", "--scores", "quoted.csv", "--a", "base", "--b", "tuned, v2", "--parametric"],
+    "eval_comments": ["eval", "--gold", "gold_comments.tsv", "--system", "sys_comments.tsv"],
 }
 
 

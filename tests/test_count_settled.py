@@ -11,6 +11,8 @@ every column it cannot decide.
 """
 
 import math
+from itertools import combinations
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from unanimity.data import (
     ValidationError,
     parse_score_table,
 )
-from unanimity.experiments import threshold_sweep
+from unanimity.experiments import predictor_curves, threshold_sweep
 from unanimity.metrics import score_pair
 from unanimity.stats import (
     EXACT_CUTOFF,
@@ -93,14 +95,15 @@ def spread(n):
 
 @pytest.fixture
 def full_tests(monkeypatch):
-    """The (x, y) columns given to the full signed-rank test."""
+    """The differences given to the full signed-rank test."""
     calls = []
+    signed_ranks = stats._signed_ranks
 
-    def counted(x, y, significance_level=0.05):
-        calls.append((x, y))
-        return wilcoxon_signed_rank(x, y, significance_level)
+    def counted(d):
+        calls.append(d)
+        return signed_ranks(d)
 
-    monkeypatch.setattr(stats, "wilcoxon_signed_rank", counted)
+    monkeypatch.setattr(stats, "_signed_ranks", counted)
     return calls
 
 
@@ -183,11 +186,11 @@ COARSE = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 
 @st.composite
-def shifted_tables(draw):
-    """21-300 cases, 2-4 systems, scores on a coarse grid with 0 and 1 and
-    both signed zeros; each system is shifted by its own steps on each
-    metric, so many columns are one-sided enough to settle."""
-    n_cases = draw(st.integers(21, 300))
+def shifted_tables(draw, min_cases=21):
+    """``min_cases``-300 cases, 2-4 systems, scores on a coarse grid with 0
+    and 1 and both signed zeros; each system is shifted by its own steps on
+    each metric, so many columns are one-sided enough to settle."""
+    n_cases = draw(st.integers(min_cases, 300))
     n_systems = draw(st.integers(2, 4))
     shifts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n_systems, max_size=n_systems))
     rng = draw(st.randoms(use_true_random=False))
@@ -221,6 +224,18 @@ def test_categories_and_sweep_equal_the_oracle(table, level):
     assert repr(threshold_sweep(table, grid, significance_level=level)) == repr(expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shifted_tables(min_cases=1), st.sampled_from(LEVELS))
+def test_kernel_on_table_columns_equals_the_checked_test(table, level):
+    # _categories gives the table's own columns to the signed-rank kernel
+    # without the input checks; the result must be the public test's.
+    for a, b in combinations(table.systems, 2):
+        for metric in table.metric_names:
+            x, y = table.scores_for(a, metric), table.scores_for(b, metric)
+            got = stats._signed_rank_test(stats._signed_ranks(list(map(sub, x, y))), level)
+            assert repr(got) == repr(wilcoxon_signed_rank(x, y, level))
+
+
 class TestOnePackingPerSweep:
     @pytest.fixture
     def packings(self, monkeypatch):
@@ -244,6 +259,8 @@ class TestOnePackingPerSweep:
         table = ScoreTable.from_rows("t", [("c", f"s{j}", m, 0.5) for j in range(systems) for m in ("p", "r")])
         with pytest.raises(ValueError, match="ordered pairs"):
             threshold_sweep(table, [0.0])
+        with pytest.raises(ValueError, match="ordered pairs"):
+            predictor_curves(table, [table, table], [0.0])
         assert packings == []
 
 
