@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 from collections import defaultdict
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -159,8 +158,8 @@ def parse_clustering(source: str | TextIO) -> Clustering:
     return Clustering._of(memberships)
 
 
-# The parsers check and file this many lines at once.  A file that fails a
-# check is read again line by line, which names its first bad line.
+# parse_clustering checks and files this many lines at once.  A file that
+# fails a check is read again line by line, which names its first bad line.
 _BLOCK_LINES = 512
 
 
@@ -328,6 +327,7 @@ def _build_columns(
     with one tuple of scores in case order per (system, metric).
     """
     cases: dict[str, None] = {}
+    metrics: dict[str, None] = {}
     filed: dict[tuple[str, str], dict[str, float]] = {}
     for line, case, system, metric, value in rows:
         if not case or not system or not metric:
@@ -338,20 +338,14 @@ def _build_columns(
         column = filed.get((system, metric))
         if column is None:
             column = filed[system, metric] = {}
+            metrics[metric] = None
         elif case in column:
             raise error(f"duplicate score for ({case}, {system}, {metric})", line)
         column[case] = value
         cases[case] = None
-    return _dense_columns(cases, filed, error)
-
-
-def _dense_columns(cases: dict[str, None], filed: dict[tuple[str, str], dict[str, float]], error):
-    """``_build_columns`` from each (system, metric) column's scores by case,
-    filed in first-appearance order with no duplicate."""
     if not filed:
         raise error("no scores", None)
     systems = dict.fromkeys(system for system, _ in filed)
-    metrics = dict.fromkeys(metric for _, metric in filed)
     # Duplicates are rejected above, so a short count means a missing score.
     if sum(map(len, filed.values())) != len(cases) * len(systems) * len(metrics):
         missing = next(
@@ -485,57 +479,13 @@ def parse_score_table(
     With ``percent=True`` scores are divided by 100 on ingest.  Scores outside
     [0, 1] after rescaling are rejected.
     """
-    lines = _read_lines(source)
-    columns = _filed_columns(lines, percent)
-    if columns is None:
-        rows = csv.reader(lines)
-        try:
-            columns = _build_columns(_score_rows(rows, percent), ParseError)
-        except csv.Error as exc:
-            # Such as a field longer than csv.field_size_limit().
-            raise ParseError(str(exc), line=rows.line_num) from None
+    rows = csv.reader(_read_lines(source))
+    try:
+        columns = _build_columns(_score_rows(rows, percent), ParseError)
+    except csv.Error as exc:
+        # Such as a field longer than csv.field_size_limit().
+        raise ParseError(str(exc), line=rows.line_num) from None
     return ScoreTable._of(collection_id, *columns)
-
-
-def _filed_columns(lines: list[str], percent: bool):
-    """``_build_columns`` of the records, a block of lines at a time; None
-    when a line fails a check or a score repeats."""
-    cases, filed, n = {}, defaultdict(dict), 0
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = lines[start : start + _BLOCK_LINES]
-        try:
-            # Strict: a quote still open at the block's end raises, where it
-            # would end the record.
-            records = list(csv.reader(block, strict=True))
-        except csv.Error:
-            return None
-        # A record that read past its own line has a quoted line break.
-        if len(records) != len(block):
-            return None
-        if start == 0 and tuple(map(str.strip, records.pop(0))) != SCORE_HEADER:
-            return None
-        records = list(filter(None, records))
-        if set(map(len, records)) - {4}:
-            return None
-        fields = list(map(str.strip, itertools.chain.from_iterable(records)))
-        try:
-            values = list(map(float, fields[3::4]))
-        except ValueError:
-            return None
-        values = [value / 100.0 for value in values] if percent else values
-        names = fields[0::4], fields[1::4], fields[2::4]
-        if any("" in column for column in names) or any(map(math.isnan, values)):
-            return None
-        if min(values, default=0.0) < 0.0 or max(values, default=0.0) > _SCORE_MAX:
-            return None
-        for key, case, value in zip(zip(names[1], names[2]), names[0], values):
-            filed[key][case] = value
-        cases.update(dict.fromkeys(names[0]))
-        n += len(values)
-    # A duplicate score replaces the first; an empty file has no header.
-    if not lines or sum(map(len, filed.values())) != n:
-        return None
-    return _dense_columns(cases, filed, ParseError)
 
 
 def _score_rows(rows, percent: bool) -> Iterator[tuple[int, str, str, str, float]]:

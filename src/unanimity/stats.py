@@ -83,11 +83,6 @@ def _rank_sums(x, y) -> tuple[tuple[int, ...], int]:
     # A NaN leaves the sort order of the differences undefined.
     if any(map(math.isnan, d)):
         raise ValueError("paired differences must not be NaN")
-    return _signed_ranks(d)
-
-
-def _signed_ranks(d: list[float]) -> tuple[tuple[int, ...], int]:
-    """``_rank_sums`` of differences with no NaN; sorts ``d`` in place."""
     d.sort()
     # Zeros of either sign sit between the negative and positive runs.
     lo = bisect_left(d, 0.0)
@@ -175,12 +170,7 @@ def wilcoxon_signed_rank(x, y, significance_level: float = 0.05) -> WilcoxonResu
     difference raises ``ValueError``.
     """
     _check_level(significance_level)
-    return _signed_rank_test(_rank_sums(x, y), significance_level)
-
-
-def _signed_rank_test(ranks: tuple[tuple[int, ...], int], significance_level: float):
-    """The ``WilcoxonResult`` of ``_rank_sums``' sizes and doubled W+."""
-    sizes, w_plus2 = ranks
+    sizes, w_plus2 = _rank_sums(x, y)
     n = sum(sizes)
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 0, 1.0, False)
@@ -245,9 +235,8 @@ def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks
                 # Ties only shrink the variance: the test's z is at most this one.
                 p = 0.0
             else:
-                # Table columns are equal-length floats with no NaN: unchecked.
-                d = list(map(sub, table.scores_for(a, name), table.scores_for(b, name)))
-                result = _signed_rank_test(_signed_ranks(d), significance_level)
+                x, y = table.scores_for(a, name), table.scores_for(b, name)
+                result = wilcoxon_signed_rank(x, y, significance_level)
                 p, sign = result.p_value, 1 if result.w_plus > result.w_minus else -1
             if p < significance_level:
                 directions.add(sign)

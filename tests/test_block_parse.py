@@ -1,17 +1,14 @@
-"""Block-wise parsing against the line-by-line parsers it replaced.
+"""Block-wise clustering parsing against the line-by-line parser it replaced.
 
-``parse_clustering`` and ``parse_score_table`` check and file
-``_BLOCK_LINES`` lines at a time, and read a file line by line only when a
-block fails a check.  They must return what ``parse_oracle`` returns, with
-the same label, case, system and metric order, or raise the same exception
-with the same message and line.  Each test runs at block sizes of 1, 2 and
-3 lines, so that duplicates, errors, comments, blank lines and quoted line
-breaks fall on both sides of a block edge, and at the size the package uses.
+``parse_clustering`` checks and files ``_BLOCK_LINES`` lines at a time, and
+reads a file line by line only when a block fails a check.  It must return
+what ``parse_oracle`` returns, with the same label order, or raise the same
+exception with the same message and line.  Each test runs at block sizes of
+1, 2 and 3 lines, so that duplicates, errors, comments and blank lines fall
+on both sides of a block edge, and at the size the package uses.
 """
 
 import contextlib
-import csv
-import io
 from pathlib import Path
 
 import pytest
@@ -20,22 +17,13 @@ from hypothesis import strategies as st
 
 import parse_oracle
 import unanimity.data as data
-from unanimity.data import (
-    ParseError,
-    ScoreTable,
-    parse_clustering,
-    parse_score_table,
-    serialize_clustering,
-    serialize_score_table,
-)
-
-from conftest import make_table
+from unanimity.data import ParseError, parse_clustering, serialize_clustering
 
 DATA = Path(__file__).resolve().parent / "data"
 BLOCKS = [1, 2, 3, data._BLOCK_LINES]
 
 # Delimiters, quotes, the comment mark, NUL, characters that str.isspace()
-# accepts and csv does not split on, digits and letters.
+# accepts beyond space and tab, digits and letters.
 ALPHABET = "\t,\"# \0\x0b\x1c\x85\xa0\u2028" + "0123456789.e-" + "abcxyz"
 
 
@@ -52,20 +40,12 @@ def outcome(parse, text, **kwargs):
         result = parse(text, **kwargs)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    if isinstance(result, ScoreTable):
-        return result.cases, result.systems, result.metric_names, repr(list(result._columns.items()))
     return list(result.clusters.items())
 
 
 def same_clustering(text):
     expected = outcome(parse_oracle.parse_clustering, text)
     assert outcome(parse_clustering, text) == expected
-    return expected
-
-
-def same_table(text, percent=False):
-    expected = outcome(parse_oracle.parse_score_table, text, percent=percent)
-    assert outcome(parse_score_table, text, percent=percent) == expected
     return expected
 
 
@@ -110,67 +90,7 @@ def test_clusterings_equal_the_oracle(lines, crlf, final):
     at_every_block_size(same_clustering, join(lines, crlf, final))
 
 
-SCORES = st.sampled_from(["0.5", "1", "0", "-0.0", " 0.25 ", "1.0000000001", "1.1", "-1", "nan", "inf", "x", "", "5e-324", "50"])
-NAMES = st.sampled_from(["c1", "c2", " c1 ", "s,1", 's"1', "", " ", "p", "r", "\x85p", "c\0"])
-
-
-def csv_field(value, rng):
-    """The field as text: quoted when it must be, sometimes when not."""
-    if any(ch in value for ch in ',"') or rng.random() < 0.2:
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-@st.composite
-def score_lines(draw):
-    """Rows over small pools, among blank lines, noise and quoted fields
-    that break across lines or stay open."""
-    rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(["good"] * 6 + ["bad score", "pooled", "blank", "noise", "open", "wide"]))
-    if kind in ("good", "bad score"):
-        scores = st.sampled_from(["0.5", "0.25", "1", "0"]) if kind == "good" else SCORES
-        fields = [draw(st.sampled_from(["c1", "c2", "c3"])), draw(st.sampled_from(["s1", "s,2"])),
-                  draw(st.sampled_from(["p", "r"])), draw(scores)]
-    elif kind == "pooled":
-        fields = [draw(NAMES), draw(NAMES), draw(NAMES), draw(SCORES)]
-    elif kind == "blank":
-        return ""
-    elif kind == "noise":
-        return draw(NOISE)
-    elif kind == "open":
-        return draw(st.sampled_from(['c1,s1,p,"0.5', '"', '",s1,p,0.5', 'c1,"s1', 'x"', '"c1,s1",p,0.5']))
-    else:
-        fields = [draw(NAMES) for _ in range(draw(st.sampled_from([3, 5])))]
-    return ",".join(csv_field(value, rng) for value in fields)
-
-
-HEADERS = st.sampled_from(["test_case,system,metric,score"] * 4 + [" test_case , system,metric,score ", '"test_case",system,metric,score', "test_case,system,metric", 'test_case,"system', ""])
-
-
-@settings(max_examples=400, deadline=None)
-@given(HEADERS, st.lists(score_lines(), max_size=12), st.booleans(), st.booleans(), st.booleans())
-def test_score_tables_equal_the_oracle(header, lines, crlf, final, percent):
-    at_every_block_size(same_table, join([header, *lines], crlf, final), percent)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(["c1", "c2", "c3"]), min_size=1, max_size=3, unique=True),
-       st.lists(st.sampled_from(["s1", "s,2", ' s"3 ']), min_size=1, max_size=3, unique=True),
-       st.lists(st.sampled_from(["p", "r"]), min_size=1, max_size=2, unique=True),
-       st.randoms(use_true_random=False))
-def test_valid_tables_in_any_row_order_equal_the_oracle(cases, systems, metrics, rng):
-    # First-appearance order decides every axis; a shuffled dense table is valid.
-    rows = [(c, s, m, rng.choice(["0.5", "0.25", "1", "0", "-0.0"])) for c in cases for s in systems for m in metrics]
-    rng.shuffle(rows)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([("test_case", "system", "metric", "score"), *rows])
-    at_every_block_size(same_table, buf.getvalue())
-
-
 CLUSTERING = "a\tx\nb\ty\nc\tz\na\tw\n"
-TABLE = "test_case,system,metric,score\n" + "".join(
-    f"{c},{s},{m},0.5\n" for c in ("c1", "c2") for s in ("s1", "s2") for m in ("p", "r")
-)
 
 
 class TestAcrossBlockEdges:
@@ -189,102 +109,27 @@ class TestAcrossBlockEdges:
         kind, message, found = same_clustering(text)
         assert kind is ParseError and found == line
 
-    @pytest.mark.parametrize(
-        "extra, line",
-        [
-            ("c2,s2,r,0.5\n", 10),  # a duplicate score in a later block
-            ("c3,s1,p,x\n", 10),  # a bad score after the rows
-        ],
-    )
-    def test_table_names_the_first_bad_line(self, block, extra, line):
-        kind, message, found = same_table(TABLE + extra)
-        assert kind is ParseError and found == line
-
-    @pytest.mark.parametrize("score", ["-0.5", "-5e-324", "1.000000002", "nan", "inf", "-inf", "1e999"])
-    def test_score_out_of_range_in_a_later_block(self, block, score):
-        rows = TABLE.splitlines()
-        rows[7] = rows[7].replace("0.5", score)
-        kind, message, found = same_table("\n".join(rows) + "\n")
-        assert kind is ParseError and found == 8 and "outside [0, 1]" in message
-
-    def test_duplicate_before_a_later_bad_score(self, block):
-        rows = TABLE.splitlines()
-        text = "\n".join([*rows[:3], rows[2], *rows[3:], "c9,s1,p,2"]) + "\n"
-        assert same_table(text)[1] == "line 4: duplicate score for (c1, s1, r)"
-
-    def test_bad_score_before_a_later_duplicate(self, block):
-        rows = TABLE.splitlines()
-        text = "\n".join([rows[0], "c0,s1,p,1.5", *rows[1:], rows[1]]) + "\n"
-        assert same_table(text)[1] == "line 2: score 1.5 outside [0, 1] for (c0, s1, p)"
-
-    def test_missing_score_after_every_block_passes(self, block):
-        text = "\n".join(TABLE.splitlines()[:-1]) + "\n"
-        assert same_table(text)[1] == "missing score for (c2, s2, r)"
-
     def test_blocks_of_comments_only(self, block):
         text = "#one\n#two\n#three\na\tx\n#four\n#five\n#six\nb\ty\n#seven\n"
         assert same_clustering(text) == [("a", frozenset("x")), ("b", frozenset("y"))]
         assert same_clustering("#only\n#comments\n#here\n")[1] == "no clusters"
 
-    def test_blocks_of_blank_lines_only(self, block):
-        rows = TABLE.splitlines()
-        text = "\n".join([rows[0], "", "", "", *rows[1:4], "", "", "", "", *rows[4:], "", "", ""])
-        assert same_table(text)[0] == ("c1", "c2")
-        assert same_table(rows[0] + "\n\n\n\n")[1] == "no scores"
-
     def test_blank_lines_in_a_clustering_are_errors(self, block):
         assert same_clustering("a\tx\n\n\n\nb\ty\n")[1] == "line 2: expected 2 tab-separated fields, got 1"
 
-    @pytest.mark.parametrize(
-        "rows, line",
-        [
-            (['c1,s1,p,"0.5', '",s1,p,0.5'], 2),  # a quoted field closed on the next line
-            (['c1,"s1', 's2",p,0.5'], 2),
-            (["c1,s1,p,0.5", 'c1,s1,r,"0.5', "", "c2,s1,p,0.5"], 3),
-            (['"c1', "", "", '",s1,p,0.5'], 2),
-        ],
-    )
-    def test_quoted_field_past_the_block_end(self, block, rows, line):
-        text = "\n".join(["test_case,system,metric,score", *rows]) + "\n"
-        assert same_table(text)[1] == f"line {line}: quoted field spans lines"
-
-    def test_quote_left_open_on_the_last_line(self, block):
-        # csv ends the record at the end of the input, so the oracle reads it.
-        rows = TABLE.splitlines()
-        text = "\n".join([*rows[:-1], rows[-1].replace("0.5", '"0.5')])
-        assert same_table(text)[0] == ("c1", "c2")
-
-    @pytest.mark.parametrize("at", [1, 4, 9])
-    def test_nul(self, block, at):
-        # csv refuses NUL on Python 3.10 only; either way both parsers agree.
-        rows = TABLE.splitlines()
-        rows[at - 1] = rows[at - 1].replace(",", ",\0", 1)
-        same_table("\n".join(rows) + "\n")
-        same_clustering("a\tx\nb\ty\0\n")
-
-    def test_field_size_limit(self, block):
-        rows = TABLE.splitlines()
-        rows[6] = rows[6].replace("s1", "s" + "1" * 20)
-        text = "\n".join(rows) + "\n"
-        previous = csv.field_size_limit()
-        try:
-            csv.field_size_limit(16)
-            assert same_table(text)[1].startswith("line 7: field larger than field limit")
-        finally:
-            csv.field_size_limit(previous)
-        assert csv.field_size_limit() == previous
+    def test_nul(self, block):
+        same_clustering("a\tx\nb\ty\0\nc\t\0z\n")
 
 
 @contextlib.contextmanager
 def no_walk():
-    """Fail on any entry to the line walks."""
+    """Fail on any entry to the line walk."""
 
     def walk(*args):
         raise AssertionError("a valid file entered the line walk")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_membership_walk", walk)
-        patch.setattr(data, "_score_rows", walk)
         yield
 
 
@@ -293,21 +138,36 @@ class TestValidFilesStayInBlocks:
         with no_walk():
             for path in sorted(DATA.glob("*.tsv")):
                 assert parse_clustering(path.read_text(encoding="utf-8")) == parse_oracle.parse_clustering(path.read_text(encoding="utf-8"))
-            for path in sorted(DATA.glob("*.csv")):
-                assert parse_score_table(path.read_text(encoding="utf-8")) == parse_oracle.parse_score_table(path.read_text(encoding="utf-8"))
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_serialized_values(self, rng):
-        # System ids with a comma are quoted; labels starting with "#" are
-        # written as comment lines, whole blocks of them.
-        table = make_table({f"s{j},{rng.random():.3f}": [(rng.random(), rng.choice([0.0, -0.0, 1.0])) for _ in range(30)] for j in range(3)})
+        # Labels starting with "#" are written as comment lines, whole
+        # blocks of them.
         clusters = {f"#{j}" if j else "c": [f"i{rng.randrange(2000)}" for _ in range(40)] for j in range(30)}
         clustering = serialize_clustering(data.Clustering(clusters))
 
         def check():
             with no_walk():
-                assert parse_score_table(serialize_score_table(table), collection_id="t") == table
                 assert parse_clustering(clustering).clusters == {"c": frozenset(clusters["c"])}
 
         at_every_block_size(check)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from("abc"), st.sets(st.sampled_from(["x", "y", "z", "", "x y", "y\xa0", "\x85", "w "]), min_size=1), min_size=1))
+def test_constructor_names_the_first_bad_item(clusters):
+    # The previous constructor checked each frozen cluster's items one at a
+    # time, in iteration order.
+    def message(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+
+    def item_by_item():
+        for members in clusters.values():
+            for item in frozenset(members):
+                parse_oracle._check_item(item)
+
+    assert message(lambda: data.Clustering(clusters)) == message(item_by_item)

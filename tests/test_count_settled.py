@@ -11,8 +11,6 @@ every column it cannot decide.
 """
 
 import math
-from itertools import combinations
-from operator import sub
 from pathlib import Path
 
 import pytest
@@ -95,15 +93,14 @@ def spread(n):
 
 @pytest.fixture
 def full_tests(monkeypatch):
-    """The differences given to the full signed-rank test."""
+    """The (x, y) columns given to the full signed-rank test."""
     calls = []
-    signed_ranks = stats._signed_ranks
 
-    def counted(d):
-        calls.append(d)
-        return signed_ranks(d)
+    def counted(x, y, significance_level=0.05):
+        calls.append((x, y))
+        return wilcoxon_signed_rank(x, y, significance_level)
 
-    monkeypatch.setattr(stats, "_signed_ranks", counted)
+    monkeypatch.setattr(stats, "wilcoxon_signed_rank", counted)
     return calls
 
 
@@ -186,11 +183,11 @@ COARSE = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 
 @st.composite
-def shifted_tables(draw, min_cases=21):
-    """``min_cases``-300 cases, 2-4 systems, scores on a coarse grid with 0
-    and 1 and both signed zeros; each system is shifted by its own steps on
-    each metric, so many columns are one-sided enough to settle."""
-    n_cases = draw(st.integers(min_cases, 300))
+def shifted_tables(draw):
+    """21-300 cases, 2-4 systems, scores on a coarse grid with 0 and 1 and
+    both signed zeros; each system is shifted by its own steps on each
+    metric, so many columns are one-sided enough to settle."""
+    n_cases = draw(st.integers(21, 300))
     n_systems = draw(st.integers(2, 4))
     shifts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n_systems, max_size=n_systems))
     rng = draw(st.randoms(use_true_random=False))
@@ -222,18 +219,6 @@ def test_categories_and_sweep_equal_the_oracle(table, level):
         patch.setattr(sweep_oracle, "categorize_improvement", oracle.categorize_improvement)
         expected = sweep_oracle.threshold_sweep(table, grid, significance_level=level)
     assert repr(threshold_sweep(table, grid, significance_level=level)) == repr(expected)
-
-
-@settings(max_examples=100, deadline=None)
-@given(shifted_tables(min_cases=1), st.sampled_from(LEVELS))
-def test_kernel_on_table_columns_equals_the_checked_test(table, level):
-    # _categories gives the table's own columns to the signed-rank kernel
-    # without the input checks; the result must be the public test's.
-    for a, b in combinations(table.systems, 2):
-        for metric in table.metric_names:
-            x, y = table.scores_for(a, metric), table.scores_for(b, metric)
-            got = stats._signed_rank_test(stats._signed_ranks(list(map(sub, x, y))), level)
-            assert repr(got) == repr(wilcoxon_signed_rank(x, y, level))
 
 
 class TestOnePackingPerSweep:
