@@ -45,16 +45,14 @@ def _fmt(value: float) -> str:
 
 def _read(path: str) -> str:
     """The file's text.  Decoding the bytes, rather than reading in text
-    mode, leaves every CR for the parsers, which split lines themselves."""
+    mode, leaves every CR and a byte order mark for the parsers, which split
+    lines themselves."""
     data = Path(path).read_bytes()
     try:
-        # utf-8-sig drops the byte order mark that spreadsheet exports write.
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # exc.object is what followed a dropped byte order mark.
-        offset = exc.start + len(data) - len(exc.object)
         raise ParseError(
-            f"{path}: not UTF-8 text (byte 0x{data[offset]:02x} at offset {offset})"
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
 
 

@@ -125,7 +125,7 @@ GoldStandard = Clustering
 
 
 def _read_lines(source: str | TextIO) -> list[str]:
-    """Lines ended by LF or CRLF, without their ends.
+    """Lines ended by LF or CRLF, without their ends or one leading U+FEFF.
 
     ``str.splitlines()`` would also end a line at form feeds, separators
     such as U+001C and U+2028, and NEL; those stay inside the line, so that
@@ -133,7 +133,7 @@ def _read_lines(source: str | TextIO) -> list[str]:
     a record there.
     """
     text = source if isinstance(source, str) else source.read()
-    text = text.replace("\r\n", "\n")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
     cr = text.find("\r")
     if cr >= 0:
         raise ParseError("carriage return inside a line", line=text.count("\n", 0, cr) + 1)

@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from itertools import accumulate, combinations
-from operator import gt, le, neg
+from functools import reduce
+from itertools import accumulate
+from operator import gt, iand, le, neg
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, _categories, parametric_uir
-from unanimity.uir import _check_pairs, _f_gains, _packed_matrix, _PackedRanks
+from unanimity.uir import _check_pairs, _f_gains, _pair_layout
 
 ALPHA_GRID_POINTS = 101
 _STEP = 10  # threshold_sweep computes every _STEP-th grid alpha's mean F first
@@ -156,9 +157,8 @@ def threshold_sweep(
     if len(systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
     p_col, r_col = metric_pair_columns(table)  # a wider table is refused before any pair work
-    ranks, matrix = _packed_matrix(table)
-    pairs = [(a, b) for a in systems for b in systems if a != b]
-    categories = _categories(table, list(combinations(systems, 2)), significance_level, ranks)
+    ranks, pairs, results = _pair_layout(table)
+    categories = _categories(table, pairs, significance_level, ranks)
     alphas = alpha_grid()
     columns = {s: (table.scores_for(s, p_col), table.scores_for(s, r_col)) for s in systems}
     known: dict[str, dict[float, float]] = {s: {} for s in systems}
@@ -172,24 +172,27 @@ def threshold_sweep(
 
     bounds = {s: _convex_bounds(mean_f(s, alphas[::_STEP]), len(table.cases)) for s in systems}
     means = {s: mean_f(s, (alpha,))[0] for s in systems}
-    # The all-alpha flag: the bounds settle most pairs, by lo_a > hi_b
-    # everywhere or hi_a <= lo_b somewhere; the rest compare exact curves.
+    # Mirrors follow their pairs: a category is symmetric.  The all-alpha
+    # flag: the bounds settle most pairs, by lo_a > hi_b everywhere or
+    # hi_a <= lo_b somewhere; the rest compare exact curves.
+    ordered = pairs + [(b, a) for a, b in pairs]
     flags = (
-        [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs],
-        [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs],
+        [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs] * 2,
+        [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs] * 2,
         [
             all(map(gt, bounds[a][0], bounds[b][1]))
             or not any(map(le, bounds[a][1], bounds[b][0]))
             and all(map(gt, mean_f(a, alphas), mean_f(b, alphas)))
-            for a, b in pairs
+            for a, b in ordered
         ],
-        [means[a] - means[b] > 0.0 for a, b in pairs],
+        [means[a] - means[b] > 0.0 for a, b in ordered],
     )
-    values = [matrix[p].value for p in pairs]
+    values = [result.value for result in results]
+    values += list(map(neg, values))
     rows = []
     for t, k, counts in _counts_above(values, flags, grid):
         ratios = [count / k for count in counts] if k else [0.0] * len(counts)
-        rows.append(ThresholdSweepRow(t, k / len(pairs), *ratios, k))
+        rows.append(ThresholdSweepRow(t, k / len(ordered), *ratios, k))
     return rows
 
 
@@ -211,7 +214,8 @@ def _gold_consistent(tables: Sequence[ScoreTable], alpha: float) -> tuple[set, l
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
     means = [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
-    return set.intersection(*(_f_gains(m, 0.0) for m in means)), means
+    # Intersected in place, so at most two tables' sets are held at once.
+    return reduce(iand, (_f_gains(m, 0.0) for m in means)), means
 
 
 class Predictor(str, Enum):
@@ -247,18 +251,17 @@ def predictor_curves(
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
-    systems = reference.systems
-    _check_pairs(len(systems))
-    ranks = _PackedRanks(reference, systems)
+    # The pair budget is checked before any collection is read; the pairs
+    # are laid out once the per-collection gold sets are freed.
+    _check_pairs(len(reference.systems))
     target, collection_means = _gold_consistent(collections, alpha)
     if not target:
         raise ValueError("no gold-consistent pairs across the collections")
+    _, pairs, results = _pair_layout(reference)
     means = collection_means[collections.index(reference)]
-    # Each unordered pair once; its mirror is the negated value.  The counts
-    # above a threshold do not depend on the pairs' order.
-    pairs = list(combinations(systems, 2))
+    # Mirrors follow their pairs; the counts above a threshold are order-free.
     scores = {
-        Predictor.UIR: [ranks.uir(a, b).value for a, b in pairs],
+        Predictor.UIR: [result.value for result in results],
         Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],
         Predictor.PARAMETRIC_UIR: [parametric_uir(reference, a, b) for a, b in pairs],
     }

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import mean_f_measure
-from unanimity.uir import best_rival, pairwise_uir_matrix
+from unanimity.uir import _pair_layout, best_rival
 
 # A rival winning on at least 90% of cases net suggests the system behaves
 # like a dominated baseline.
@@ -44,25 +44,17 @@ def render_ranking_report(
     """
     if not -1.0 <= uir_threshold <= 1.0:
         raise ValueError(f"UIR threshold {uir_threshold} outside [-1, 1]")
-    matrix = pairwise_uir_matrix(table)
+    _, pairs, results = _pair_layout(table)
     means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
+    # uir_over[s][o] is UIR(o, s); UIR(s, o) is its negation.
+    uir_over: dict[str, dict[str, float]] = {s: {} for s in table.systems}
+    for (sys_a, sys_b), result in zip(pairs, results):
+        uir_over[sys_b][sys_a], uir_over[sys_a][sys_b] = result.value, -result.value
     rows = []
     for system in sorted(table.systems, key=lambda s: (-means[s], s)):
-        improved = tuple(
-            sorted(
-                other
-                for other in table.systems
-                if other != system and matrix[(system, other)].value > uir_threshold
-            )
-        )
-        reference = best_rival(
-            {other: matrix[(other, system)].value for other in table.systems if other != system}
-        )
-        if reference is None:
-            ref_id, ref_value = None, None
-            near = False
-        else:
-            ref_id, ref_value = reference
-            near = ref_value >= NEAR_BASELINE_UIR
+        over = uir_over.pop(system)
+        improved = tuple(sorted(other for other, value in over.items() if -value > uir_threshold))
+        ref_id, ref_value = best_rival(over) or (None, None)
+        near = ref_value is not None and ref_value >= NEAR_BASELINE_UIR
         rows.append(RankingRow(system, means[system], improved, ref_id, ref_value, near))
     return rows

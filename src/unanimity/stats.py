@@ -209,8 +209,8 @@ def categorize_improvement(
 
 
 def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks=None) -> dict:
-    """``categorize_improvement`` of each pair, both ways round, from one
-    packing of the table, or from ``ranks`` if given."""
+    """``categorize_improvement`` of each pair, filed under the pair as
+    given, from one packing of the table, or from ``ranks`` if given."""
     names = metric_pair_columns(table)
     ranks = ranks or _PackedRanks(table, [s for pair in pairs for s in pair])
     _check_level(significance_level)
@@ -240,7 +240,7 @@ def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks
                 p, sign = result.p_value, 1 if result.w_plus > result.w_minus else -1
             if p < significance_level:
                 directions.add(sign)
-        categories[a, b] = categories[b, a] = (
+        categories[a, b] = (
             ImprovementCategory.OPPOSITE_SIGNIFICANT if len(directions) == 2
             else ImprovementCategory.CONCORDANT_SIGNIFICANT if directions
             else ImprovementCategory.NON_SIGNIFICANT

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import MetricVector, ScoreTable
 from unanimity.metrics import mean_f_measure
@@ -129,7 +129,11 @@ def pairwise_uir_matrix(table: ScoreTable) -> dict[tuple[str, str], UirResult]:
     antisymmetry of the ratio holds exactly by construction.  A table with
     more than ``MAX_PAIRS`` ordered pairs raises ``ValueError`` before any
     pair is computed."""
-    return _packed_matrix(table)[1]
+    _, pairs, results = _pair_layout(table)
+    matrix: dict[tuple[str, str], UirResult] = {}
+    for (sys_a, sys_b), result in zip(pairs, results):
+        matrix[sys_a, sys_b], matrix[sys_b, sys_a] = result, result.reversed()
+    return matrix
 
 
 def _check_pairs(n_systems: int) -> None:
@@ -142,16 +146,16 @@ def _check_pairs(n_systems: int) -> None:
         )
 
 
-def _packed_matrix(table: ScoreTable) -> tuple[_PackedRanks, dict[tuple[str, str], UirResult]]:
-    """Every system packed, once ``MAX_PAIRS`` is checked, and the matrix."""
+def _pair_layout(table: ScoreTable) -> tuple[_PackedRanks, list, Iterator[UirResult]]:
+    """Every system packed, once ``MAX_PAIRS`` is checked; each unordered
+    pair (a, b) in ``combinations`` order; and its UIR, computed as the
+    iterator is read.  Mirrors (b, a), where needed, follow the pairs in the
+    same order, with swapped counts and negated values: UIR is antisymmetric."""
     systems = table.systems
     _check_pairs(len(systems))
     ranks = _PackedRanks(table, systems)
-    matrix: dict[tuple[str, str], UirResult] = {}
-    for sys_a, sys_b in combinations(systems, 2):
-        matrix[sys_a, sys_b] = result = ranks.uir(sys_a, sys_b)
-        matrix[sys_b, sys_a] = result.reversed()
-    return ranks, matrix
+    pairs = list(combinations(systems, 2))
+    return ranks, pairs, (ranks.uir(a, b) for a, b in pairs)
 
 
 def best_rival(
@@ -183,8 +187,11 @@ def reference_system(
 
 def robust_set_uir(table: ScoreTable, threshold: float) -> set[tuple[str, str]]:
     """Ordered system pairs whose UIR strictly exceeds the threshold."""
-    matrix = pairwise_uir_matrix(table)
-    return {pair for pair, result in matrix.items() if result.value > threshold}
+    _, pairs, results = _pair_layout(table)
+    values = [result.value for result in results]
+    return {p for p, v in zip(pairs, values) if v > threshold} | {
+        (b, a) for (a, b), v in zip(pairs, values) if -v > threshold
+    }
 
 
 def robust_set_f(

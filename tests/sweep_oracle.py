@@ -1,8 +1,10 @@
-"""Per-threshold sweep loops, kept as oracles for the sorted threshold walk.
+"""Per-threshold sweep loops, kept as oracles for the sorted threshold walk,
+and the ranking report read off the full ordered-pair matrix.
 
 Each threshold rebuilds the accepted (or predicted) pair set from scratch,
 O(G·P) for G thresholds and P ordered pairs.  The library's sweeps must
-return equal rows and points.
+return equal rows and points, and its report, which computes each unordered
+pair once, equal rows.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from unanimity.experiments import (
     gold_consistent_pairs,
 )
 from unanimity.metrics import mean_f_measure
+from unanimity.report import NEAR_BASELINE_UIR, RankingRow
 from unanimity.stats import ImprovementCategory, categorize_improvement, parametric_uir
-from unanimity.uir import pairwise_uir_matrix
+from unanimity.uir import best_rival, pairwise_uir_matrix
 
 
 def ordered_pairs(table):
@@ -94,3 +97,30 @@ def predictor_curves(reference, collections, grid, alpha=0.5):
             points.append((t, hits / len(predicted), hits / len(target)))
         curves.append(PredictorCurve(predictor, tuple(points)))
     return curves
+
+
+def render_ranking_report(table, alpha=0.5, uir_threshold=0.25):
+    if not -1.0 <= uir_threshold <= 1.0:
+        raise ValueError(f"UIR threshold {uir_threshold} outside [-1, 1]")
+    matrix = pairwise_uir_matrix(table)
+    means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
+    rows = []
+    for system in sorted(table.systems, key=lambda s: (-means[s], s)):
+        improved = tuple(
+            sorted(
+                other
+                for other in table.systems
+                if other != system and matrix[(system, other)].value > uir_threshold
+            )
+        )
+        reference = best_rival(
+            {other: matrix[(other, system)].value for other in table.systems if other != system}
+        )
+        if reference is None:
+            ref_id, ref_value = None, None
+            near = False
+        else:
+            ref_id, ref_value = reference
+            near = ref_value >= NEAR_BASELINE_UIR
+        rows.append(RankingRow(system, means[system], improved, ref_id, ref_value, near))
+    return rows

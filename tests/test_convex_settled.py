@@ -13,6 +13,7 @@ pairs the bounds leave open may run a full curve.
 
 import math
 import random
+from itertools import combinations
 from operator import gt
 from pathlib import Path
 from unittest import mock
@@ -41,8 +42,10 @@ ALPHAS = st.one_of(
 
 
 def sweep(table, alpha=0.5, grid=GRID):
-    """The rows, the all-alpha flag of each ordered pair, and the
-    (system, alphas) of every ``_mean_f`` call."""
+    """The rows, the all-alpha flag of each ordered pair keyed by the pair,
+    and the (system, alphas) of every ``_mean_f`` call.  The flags come in
+    the sweep's pair layout: each unordered pair in ``combinations`` order,
+    then each mirror in the same order."""
     owner = {id(table.scores_for(s, table.metric_names[0])): s for s in table.systems}
     assert len(owner) == len(table.systems)
     calls, captured = [], {}
@@ -60,12 +63,16 @@ def sweep(table, alpha=0.5, grid=GRID):
         experiments, "_counts_above", capture
     ):
         rows = threshold_sweep(table, grid, alpha)
-    return rows, captured["all_alpha"], calls
+    pairs = list(combinations(table.systems, 2))
+    layout = pairs + [(b, a) for a, b in pairs]
+    assert len(captured["all_alpha"]) == len(layout)
+    return rows, dict(zip(layout, captured["all_alpha"])), calls
 
 
 def oracle_flags(table):
     curves = alpha_sweep(table).curves
-    return [all(map(gt, curves[a], curves[b])) for a, b in sweep_oracle.ordered_pairs(table)]
+    pairs = sweep_oracle.ordered_pairs(table)
+    return {(a, b): all(map(gt, curves[a], curves[b])) for a, b in pairs}
 
 
 def assert_equals_oracle(table, alpha=0.5):
@@ -73,7 +80,7 @@ def assert_equals_oracle(table, alpha=0.5):
     assert flags == oracle_flags(table)
     expected = sweep_oracle.threshold_sweep(table, GRID, alpha)
     assert list(map(repr, rows)) == list(map(repr, expected))
-    return dict(zip(sweep_oracle.ordered_pairs(table), flags)), calls
+    return flags, calls
 
 
 def full_grids(calls):

@@ -31,13 +31,14 @@ from unanimity.data import (
 )
 from unanimity.experiments import predictor_curves, threshold_sweep
 from unanimity.metrics import score_pair
+from unanimity.report import render_ranking_report
 from unanimity.stats import (
     EXACT_CUTOFF,
     _approx_two_sided_p,
     categorize_improvement,
     wilcoxon_signed_rank,
 )
-from unanimity.uir import MAX_PAIRS, _PackedRanks
+from unanimity.uir import MAX_PAIRS, UirResult, _PackedRanks, robust_set_uir
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -247,6 +248,40 @@ class TestOnePackingPerSweep:
         with pytest.raises(ValueError, match="ordered pairs"):
             predictor_curves(table, [table, table], [0.0])
         assert packings == []
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """How often the pair kernel runs and a mirror is built by reversal."""
+        calls = {"uir": 0, "reversed": 0}
+        uir, reversed_ = _PackedRanks.uir, UirResult.reversed
+
+        def counted_uir(self, a, b):
+            calls["uir"] += 1
+            return uir(self, a, b)
+
+        def counted_reversed(self):
+            calls["reversed"] += 1
+            return reversed_(self)
+
+        monkeypatch.setattr(_PackedRanks, "uir", counted_uir)
+        monkeypatch.setattr(UirResult, "reversed", counted_reversed)
+        return calls
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda table: render_ranking_report(table),
+            lambda table: threshold_sweep(table, [-1.0, 0.0, 0.5]),
+            lambda table: robust_set_uir(table, 0.0),
+            lambda table: predictor_curves(table, [table, table], [-1.0, 0.0, 0.5]),
+        ],
+        ids=["render_ranking_report", "threshold_sweep", "robust_set_uir", "predictor_curves"],
+    )
+    def test_each_unordered_pair_runs_the_kernel_once(self, kernel_calls, run):
+        table = parse_score_table((DATA / "approx.csv").read_text(encoding="utf-8"))
+        n = len(table.systems)
+        run(table)
+        assert kernel_calls == {"uir": n * (n - 1) // 2, "reversed": 0}
 
 
 class TestOneScoreRange:

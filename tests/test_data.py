@@ -370,3 +370,29 @@ class TestScoreTable:
         assert t.scores_for("sysA", "precision") == (0.5, 0.0)
         with pytest.raises(ValueError, match="unknown system"):
             t.scores_for("nope", "precision")
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF, which ``open(path, encoding="utf-8")`` keeps from a
+    spreadsheet export, is dropped by both parsers, as the CLI drops it."""
+
+    def test_clustering(self, tmp_path):
+        text = "c1\ta\nc1\tb\nc2\tc\n"
+        path = tmp_path / "gold.tsv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            marked = parse_clustering(handle)
+        assert marked == parse_clustering(text)
+        assert parse_clustering("\ufeff" + text) == parse_clustering(text)
+        assert "c1" in marked.labels
+
+    def test_score_table(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\ufeff" + SCORES_CSV, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            marked = parse_score_table(handle)
+        assert marked == parse_score_table(SCORES_CSV)
+        assert parse_score_table("\ufeff" + SCORES_CSV) == parse_score_table(SCORES_CSV)
+
+    def test_only_one_mark_is_dropped(self):
+        assert parse_clustering("\ufeff\ufeffc1\ta\n").labels == ("\ufeffc1",)
