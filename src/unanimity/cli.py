@@ -88,14 +88,18 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
+    # A file's stem is its system id; a score table has one score per (case, id, metric).
+    ids = [Path(path).stem for path in args.system]
+    for i, system_id in enumerate(ids):
+        if system_id in ids[:i]:
+            raise ValueError(f"two --system files have the system id {system_id!r}")
     gold = parse_clustering(_read(args.gold))
     case_id = args.case_id or Path(args.gold).stem
     pair = MetricPair(args.metrics)
     rows = []
-    for path in args.system:
+    for path, system_id in zip(args.system, ids):
         system = parse_clustering(_read(path))
         report = validate_pair(system, gold, strict=args.strict)
-        system_id = Path(path).stem
         for note in report.notes:
             print(f"warning: {system_id}: {note}", file=sys.stderr)
         vector = score_pair(system, gold, pair)

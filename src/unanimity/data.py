@@ -13,7 +13,7 @@ import io
 import itertools
 from collections import defaultdict
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
 
 class ParseError(ValueError):
@@ -151,7 +151,9 @@ def parse_clustering(source: str | TextIO) -> Clustering:
     number.
     """
     lines = _read_lines(source)
-    memberships = _filed_memberships(lines) or _membership_walk(lines)
+    memberships = _filed_memberships(lines)
+    if memberships is None:
+        _membership_walk(lines)
     # Freeze in place, so each parse-time set is freed as soon as it is copied.
     for label, members in memberships.items():
         memberships[label] = frozenset(members)
@@ -194,9 +196,10 @@ def _filed_memberships(lines: list[str]) -> dict[str, set[str]] | None:
     return dict(memberships) if memberships and sum(map(len, memberships.values())) == n else None
 
 
-def _membership_walk(lines: list[str]) -> dict[str, set[str]]:
-    """The memberships, line by line: raises the first error in the file."""
-    memberships: dict[str, set[str]] = {}
+def _membership_walk(lines: list[str]) -> NoReturn:
+    """Raise the first error of a file ``_filed_memberships`` refused, line
+    by line; one with no line at fault has no memberships."""
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
             continue
@@ -212,13 +215,10 @@ def _membership_walk(lines: list[str]) -> dict[str, set[str]]:
             _check_items([item])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        members = memberships.setdefault(label, set())
-        if item in members:
+        if (label, item) in seen:
             raise ParseError(f"duplicate membership ({label!r}, {item!r})", line=lineno)
-        members.add(item)
-    if not memberships:
-        raise ParseError("no clusters")
-    return memberships
+        seen.add((label, item))
+    raise ParseError("no clusters")
 
 
 def serialize_clustering(clustering: Clustering) -> str:

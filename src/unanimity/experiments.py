@@ -11,11 +11,12 @@ hold on every other collection.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
+from collections import Counter
 from enum import Enum
-from functools import reduce
-from itertools import accumulate
-from operator import gt, iand, le, neg
+from functools import partial, reduce
+from itertools import accumulate, chain
+from operator import gt, iand, le, neg, sub
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
@@ -49,19 +50,22 @@ def _check_grid(grid: Sequence[float], lo: float, hi: float, what: str) -> tuple
 def _counts_above(
     values: Sequence[float], flags: Sequence[Sequence[bool]], grid: Sequence[float]
 ) -> Iterator[tuple[float, int, list[int]]]:
-    """Yield t, the number k of values strictly above t, and how many of
-    those k carry each flag column, for every t of the grid.
-
-    One sort, flags summed from the top value down, then one bisection per
-    threshold: O(P log P + G log P) for P values and G thresholds.
+    """Yield t, the number k of ordered pairs valued strictly above t, and
+    how many of those k carry each flag column, for every t of the grid.
+    ``values`` has one value per unordered pair, whose mirror has its
+    negation; a flag column lists the pairs, then their mirrors.  v lies
+    above ``grid[i]`` exactly when ``i < bisect_left(grid, v)``: O(P log G + G).
     """
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranked = [values[i] for i in order]
-    order.reverse()
-    tops = [list(accumulate((column[i] for i in order), initial=0)) for column in flags]
-    for t in grid:
-        k = len(ranked) - bisect_right(ranked, t)
-        yield t, k, [top[k] for top in tops]
+    slot = partial(bisect_left, grid)
+    slots = chain(map(slot, values), map(slot, map(neg, values)))
+    tallies = [[0] * (len(grid) + 1) for _ in range(len(flags) + 1)]
+    for (i, *marks), n in Counter(zip(slots, *flags)).items():
+        for tally, mark in zip(tallies, (True, *marks)):
+            tally[i] += mark * n
+    totals = list(map(sum, tallies))
+    for t, at_or_below in zip(grid, zip(*map(accumulate, tallies))):
+        k, *counts = map(sub, totals, at_or_below)
+        yield t, k, counts
 
 
 def _convex_bounds(points: Sequence[float], n: int) -> tuple[list[float], list[float]]:
@@ -187,10 +191,8 @@ def threshold_sweep(
         ],
         [means[a] - means[b] > 0.0 for a, b in ordered],
     )
-    values = [result.value for result in results]
-    values += list(map(neg, values))
     rows = []
-    for t, k, counts in _counts_above(values, flags, grid):
+    for t, k, counts in _counts_above([result.value for result in results], flags, grid):
         ratios = [count / k for count in counts] if k else [0.0] * len(counts)
         rows.append(ThresholdSweepRow(t, k / len(ordered), *ratios, k))
     return rows
@@ -259,14 +261,12 @@ def predictor_curves(
         raise ValueError("no gold-consistent pairs across the collections")
     _, pairs, results = _pair_layout(reference)
     means = collection_means[collections.index(reference)]
-    # Mirrors follow their pairs; the counts above a threshold are order-free.
+    # One value per unordered pair: _counts_above reads each mirror's as its negation.
     scores = {
         Predictor.UIR: [result.value for result in results],
         Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],
         Predictor.PARAMETRIC_UIR: [parametric_uir(reference, a, b) for a, b in pairs],
     }
-    for values in scores.values():
-        values += list(map(neg, values))
     in_target = ([(a, b) in target for a, b in pairs] + [(b, a) in target for a, b in pairs],)
     curves = []
     for predictor in Predictor:

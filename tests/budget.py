@@ -1,10 +1,13 @@
-"""Memory budget of ``rank`` at the end of the pair budget.
+"""Memory budget of ``rank``, ``threshold-sweep`` and ``predict`` at the end
+of the pair budget.
 
-Writes a seeded 1000-system x 20-case score table (two metrics, random
-scores in steps of 0.001), runs ``python -m unanimity.cli rank`` on it as a
-child process, and prints the child's wall time, its peak resident memory
-(``ru_maxrss`` of the waited-for children) and the sha256 of its stdout.
-Exits 1 when the child fails or its peak is above ``PEAK_MB``.
+Writes three seeded 1000-system x 20-case score tables (two metrics, random
+scores in steps of 0.001) and runs, each as a child process of
+``python -m unanimity.cli``: ``rank`` and ``threshold-sweep`` on the first
+table, and ``predict`` with the first as reference over all three.  For
+each it prints the child's wall time, its own peak resident memory
+(``ru_maxrss`` from ``os.wait4``) and the sha256 of its stdout.  Exits 1
+when a child fails or its peak is above its budget in ``PEAK_MB``.
 
 Standard library only; the package must be importable by this interpreter:
 
@@ -12,8 +15,8 @@ Standard library only; the package must be importable by this interpreter:
 """
 
 import hashlib
+import os
 import random
-import resource
 import subprocess
 import sys
 import tempfile
@@ -22,12 +25,12 @@ from pathlib import Path
 
 SYSTEMS = 1000
 CASES = 20
-SEED = 0
-PEAK_MB = 160
+SEEDS = (0, 1, 2)
+PEAK_MB = {"rank": 160, "threshold-sweep": 300, "predict": 210}
 
 
-def write_table(path: Path) -> None:
-    rng = random.Random(SEED)
+def write_table(path: Path, seed: int) -> None:
+    rng = random.Random(seed)
     lines = ["test_case,system,metric,score"]
     for case in range(CASES):
         for system in range(SYSTEMS):
@@ -36,26 +39,49 @@ def write_table(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as directory:
-        table = Path(directory) / "budget.csv"
-        write_table(table)
-        argv = [sys.executable, "-m", "unanimity.cli", "rank", "--scores", str(table)]
+def run(argv: list[str], directory: Path) -> tuple[int, float, float, bytes, bytes]:
+    """Exit status, wall time, peak MB, stdout and stderr of one child."""
+    out, err = directory / "stdout", directory / "stderr"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr:
         start = time.perf_counter()
-        child = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child = subprocess.Popen(argv, stdout=stdout, stderr=stderr)
+        # The child's own rusage; RUSAGE_CHILDREN would keep the largest
+        # peak of every child waited for so far.
+        _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
     # ru_maxrss is in KiB on Linux, in bytes on macOS.
-    scale = 2**20 if sys.platform == "darwin" else 2**10
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale
-    digest = hashlib.sha256(child.stdout).hexdigest()
-    print(f"rank on {SYSTEMS} systems x {CASES} cases: {wall:.2f} s, peak {peak:.1f} MB, stdout sha256 {digest}")
-    if child.returncode != 0:
-        print(f"rank exited {child.returncode}: {child.stderr.decode(errors='replace').strip()}")
-        return 1
-    if peak > PEAK_MB:
-        print(f"peak {peak:.1f} MB is above the {PEAK_MB} MB budget")
-        return 1
-    return 0
+    peak = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    return child.returncode, wall, peak, out.read_bytes(), err.read_bytes()
+
+
+def main() -> int:
+    failed = False
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        tables = [str(directory / f"budget{seed}.csv") for seed in SEEDS]
+        for path, seed in zip(tables, SEEDS):
+            write_table(Path(path), seed)
+        commands = {
+            "rank": ["rank", "--scores", tables[0]],
+            "threshold-sweep": ["threshold-sweep", "--scores", tables[0]],
+            "predict": ["predict", "--reference", tables[0], "--collections", *tables],
+        }
+        for command, args in commands.items():
+            argv = [sys.executable, "-m", "unanimity.cli", *args]
+            code, wall, peak, stdout, stderr = run(argv, directory)
+            digest = hashlib.sha256(stdout).hexdigest()
+            print(
+                f"{command} on {SYSTEMS} systems x {CASES} cases: {wall:.2f} s, "
+                f"peak {peak:.1f} MB, stdout sha256 {digest}"
+            )
+            if code != 0:
+                print(f"{command} exited {code}: {stderr.decode(errors='replace').strip()}")
+                failed = True
+            elif peak > PEAK_MB[command]:
+                print(f"peak {peak:.1f} MB is above the {PEAK_MB[command]} MB budget")
+                failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -110,6 +110,27 @@ class TestEval:
         assert main(["eval", "--system", str(tmp_path / "nope.tsv"), "--gold", str(gold)]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
 
+    def test_two_files_sharing_an_id_refused_before_reading(self, clustering_files, tmp_path, capsys):
+        # Both would be scored under "sys", and rank refuses the duplicate rows.
+        gold, sys_a, sys_b = clustering_files
+        for run, source in (("r1", sys_a), ("r2", sys_b)):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "sys.tsv").write_text(Path(source).read_text(encoding="utf-8"), encoding="utf-8")
+        first, second = str(tmp_path / "r1" / "sys.tsv"), str(tmp_path / "r2" / "sys.tsv")
+        assert main(["eval", "--gold", gold, "--system", first, "--system", second]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: invalid: two --system files have the system id 'sys'\n"
+        # The check comes first: a missing gold file is not reached.
+        assert main(["eval", "--gold", str(tmp_path / "nope.tsv"), "--system", first, "--system", second]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid: two --system files")
+
+    def test_one_file_named_twice_refused(self, clustering_files, tmp_path, capsys):
+        gold, sys_a, _ = clustering_files
+        again = os.path.join(tmp_path, ".", "sysA.tsv")
+        assert main(["eval", "--gold", gold, "--system", sys_a, "--system", again]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: invalid: two --system files have the system id 'sysA'\n"
+
 
 class TestCompare:
     def test_counts_and_uir(self, scores_csv, capsys):
@@ -234,6 +255,19 @@ class TestRank:
             "report.csv",
         ]
 
+    def test_failed_replace_keeps_the_target(self, scores_csv, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "report.csv"
+        target.write_text("old report\n", encoding="utf-8")
+
+        def refuse(source, destination):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["rank", "--scores", scores_csv, "--output", str(target)]) == 1
+        assert capsys.readouterr() == ("", "error: io: replace refused\n")
+        assert target.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "report.csv"]
+
     def test_output_symlink_written_through(self, scores_csv, tmp_path, capsys):
         (tmp_path / "reports").mkdir()
         target = tmp_path / "reports" / "report.csv"
@@ -316,6 +350,23 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid: grid")
         assert f"more than {MAX_GRID_POINTS} points" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["alpha-sweep", "demo.csv", "--grid", "0:one:0.1"], "invalid: bad grid '0:one:0.1', expected numeric start:stop:step"),
+            (["alpha-sweep", "demo.csv", "--grid", "0:1:0"], "invalid: grid step must be positive, got 0.0"),
+            (["threshold-sweep", "demo.csv", "--grid", "0:1:-0.05"], "invalid: grid step must be positive, got -0.05"),
+            (["threshold-sweep", "demo.csv", "--grid", "0.5:-0.5:0.1"], "invalid: grid stop -0.5 below start 0.5"),
+            (["rank", "empty.csv"], "parse: empty score file"),
+        ],
+    )
+    def test_refusals(self, scores_csv, tmp_path, argv, message, capsys):
+        # scores_csv writes demo.csv into tmp_path.
+        (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+        command, scores, *rest = argv
+        assert main([command, "--scores", str(tmp_path / scores), *rest]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_grid_cap_is_inclusive(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS

@@ -396,3 +396,30 @@ class TestByteOrderMark:
 
     def test_only_one_mark_is_dropped(self):
         assert parse_clustering("\ufeff\ufeffc1\ta\n").labels == ("\ufeffc1",)
+
+
+CELL = MetricVector({"p": 0.5})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: parse_score_table(""), ParseError, "empty score file"),
+        (lambda: parse_score_table(SCORES_CSV).select_metrics(()), ValueError, "no metrics selected"),
+        (lambda: parse_score_table(SCORES_CSV).scores_for("sysA", "f"), ValueError, "unknown metric 'f'"),
+        (lambda: parse_score_table(SCORES_CSV).cell("case3", "sysA"), ValueError, "unknown cell (case3, sysA)"),
+        (lambda: MetricVector({}), ValueError, "metric vector has no scores"),
+        (lambda: MetricVector({"": 0.5}), ValueError, "empty metric name"),
+        (lambda: ScoreTable("c", ("x", "x"), ("s",), {("x", "s"): CELL}), ValidationError, "duplicate test case or system ids"),
+        (lambda: ScoreTable("c", ("x",), ("s", "s"), {("x", "s"): CELL}), ValidationError, "duplicate test case or system ids"),
+        (
+            lambda: ScoreTable("c", ("x",), ("s",), {("x", "s"): CELL, ("y", "s"): CELL}),
+            ValidationError,
+            "score table has cells outside cases x systems",
+        ),
+    ],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error and str(refused.value) == message

@@ -352,3 +352,18 @@ class TestPredictorCurves:
         hits = len(predicted & target)
         assert precision == hits / len(predicted)
         assert recall == hits / len(target)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda table: threshold_sweep(table, []), "empty threshold grid"),
+        (lambda table: predictor_curves(table, [table, table], ()), "empty threshold grid"),
+        (lambda table: alpha_sweep(table, systems=[]), "no systems selected"),
+    ],
+)
+def test_refusals(run, message):
+    table = make_table({"a": [(0.6, 0.4), (0.5, 0.5)], "b": [(0.4, 0.3), (0.2, 0.6)]})
+    with pytest.raises(ValueError) as refused:
+        run(table)
+    assert str(refused.value) == message
