@@ -90,11 +90,15 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_eval(args: argparse.Namespace) -> str:
     # A file's stem is its system id; a score table has one score per (case, id, metric).
     ids = [Path(path).stem for path in args.system]
+    case_id = Path(args.gold).stem if args.case_id is None else args.case_id
+    # The score parser strips each field and reads one record per line.
+    for kind, name in [("test case id", case_id), *(("system id", s) for s in ids)]:
+        if not name or name != name.strip() or "\r" in name or "\n" in name:
+            raise ValueError(f"{kind} {name!r} is empty, space-padded or holds a line break")
     for i, system_id in enumerate(ids):
         if system_id in ids[:i]:
             raise ValueError(f"two --system files have the system id {system_id!r}")
     gold = parse_clustering(_read(args.gold))
-    case_id = args.case_id or Path(args.gold).stem
     pair = MetricPair(args.metrics)
     rows = []
     for path, system_id in zip(args.system, ids):

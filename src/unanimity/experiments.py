@@ -14,15 +14,15 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate, chain
-from operator import gt, iand, le, neg, sub
+from operator import gt, le, neg, sub
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, _categories, parametric_uir
-from unanimity.uir import _check_pairs, _f_gains, _pair_layout
+from unanimity.uir import _check_pairs, _f_gain_set, _f_gains, _pair_layout
 
 ALPHA_GRID_POINTS = 101
 _STEP = 10  # threshold_sweep computes every _STEP-th grid alpha's mean F first
@@ -179,45 +179,39 @@ def threshold_sweep(
     # Mirrors follow their pairs: a category is symmetric.  The all-alpha
     # flag: the bounds settle most pairs, by lo_a > hi_b everywhere or
     # hi_a <= lo_b somewhere; the rest compare exact curves.
-    ordered = pairs + [(b, a) for a, b in pairs]
     flags = (
-        [categories[p] is ImprovementCategory.CONCORDANT_SIGNIFICANT for p in pairs] * 2,
-        [categories[p] is ImprovementCategory.OPPOSITE_SIGNIFICANT for p in pairs] * 2,
+        [c is ImprovementCategory.CONCORDANT_SIGNIFICANT for c in categories] * 2,
+        [c is ImprovementCategory.OPPOSITE_SIGNIFICANT for c in categories] * 2,
         [
             all(map(gt, bounds[a][0], bounds[b][1]))
             or not any(map(le, bounds[a][1], bounds[b][0]))
             and all(map(gt, mean_f(a, alphas), mean_f(b, alphas)))
-            for a, b in ordered
+            for a, b in chain(pairs, map(reversed, pairs))
         ],
-        [means[a] - means[b] > 0.0 for a, b in ordered],
+        _f_gains([means], pairs),
     )
     rows = []
     for t, k, counts in _counts_above([result.value for result in results], flags, grid):
         ratios = [count / k for count in counts] if k else [0.0] * len(counts)
-        rows.append(ThresholdSweepRow(t, k / len(ordered), *ratios, k))
+        rows.append(ThresholdSweepRow(t, k / (2 * len(pairs)), *ratios, k))
     return rows
 
 
-def gold_consistent_pairs(
-    tables: Sequence[ScoreTable],
-    alpha: float = 0.5,
-) -> set[tuple[str, str]]:
+def gold_consistent_pairs(tables: Sequence[ScoreTable], alpha: float = 0.5) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F gap is positive in every collection:
     the intersection of ``robust_set_f(table, 0.0, alpha)`` over the tables."""
-    return _gold_consistent(tables, alpha)[0]
+    return _f_gain_set(_collection_means(tables, alpha), 0.0)
 
 
-def _gold_consistent(tables: Sequence[ScoreTable], alpha: float) -> tuple[set, list[dict]]:
-    """``gold_consistent_pairs``, and each table's mean F per system."""
+def _collection_means(tables: Sequence[ScoreTable], alpha: float) -> list[dict[str, float]]:
+    """Each table's mean F per system, once the tables share one system set."""
     if len(tables) < 2:
         raise ValueError("need at least 2 collections")
     base = set(tables[0].systems)
     for table in tables[1:]:
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
-    means = [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
-    # Intersected in place, so at most two tables' sets are held at once.
-    return reduce(iand, (_f_gains(m, 0.0) for m in means)), means
+    return [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
 
 
 class Predictor(str, Enum):
@@ -253,13 +247,14 @@ def predictor_curves(
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
-    # The pair budget is checked before any collection is read; the pairs
-    # are laid out once the per-collection gold sets are freed.
+    # The pair budget is checked before any collection is read.
     _check_pairs(len(reference.systems))
-    target, collection_means = _gold_consistent(collections, alpha)
-    if not target:
-        raise ValueError("no gold-consistent pairs across the collections")
+    collection_means = _collection_means(collections, alpha)
     _, pairs, results = _pair_layout(reference)
+    in_target = _f_gains(collection_means, pairs)
+    n_target = sum(in_target)
+    if not n_target:
+        raise ValueError("no gold-consistent pairs across the collections")
     means = collection_means[collections.index(reference)]
     # One value per unordered pair: _counts_above reads each mirror's as its negation.
     scores = {
@@ -267,12 +262,11 @@ def predictor_curves(
         Predictor.F_DELTA: [means[a] - means[b] for a, b in pairs],
         Predictor.PARAMETRIC_UIR: [parametric_uir(reference, a, b) for a, b in pairs],
     }
-    in_target = ([(a, b) in target for a, b in pairs] + [(b, a) in target for a, b in pairs],)
     curves = []
     for predictor in Predictor:
         points = tuple(
-            (t, hits / k, hits / len(target))
-            for t, k, (hits,) in _counts_above(scores[predictor], in_target, grid)
+            (t, hits / k, hits / n_target)
+            for t, k, (hits,) in _counts_above(scores[predictor], (in_target,), grid)
             if k
         )
         curves.append(PredictorCurve(predictor, points))

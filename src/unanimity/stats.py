@@ -205,19 +205,19 @@ def categorize_improvement(
     significant metric and no opposition.  The category is symmetric in the
     two systems.
     """
-    return _categories(table, [(sys_a, sys_b)], significance_level)[sys_a, sys_b]
+    return _categories(table, [(sys_a, sys_b)], significance_level)[0]
 
 
-def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks=None) -> dict:
-    """``categorize_improvement`` of each pair, filed under the pair as
-    given, from one packing of the table, or from ``ranks`` if given."""
+def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks=None) -> list:
+    """``categorize_improvement`` of each pair, in the order given, from one
+    packing of the table, or from ``ranks`` if given."""
     names = metric_pair_columns(table)
     ranks = ranks or _PackedRanks(table, [s for pair in pairs for s in pair])
     _check_level(significance_level)
     # A column whose p is bounded below this is significant without its test:
     # rounding is monotone, and the margin covers _ndtr's error.
     settled_below = significance_level * (1 - 1e-9)
-    categories = {}
+    categories = []
     for a, b in pairs:
         directions = set()
         for name, (ge, le) in zip(names, ranks.masks(a, b)):
@@ -240,7 +240,7 @@ def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks
                 p, sign = result.p_value, 1 if result.w_plus > result.w_minus else -1
             if p < significance_level:
                 directions.add(sign)
-        categories[a, b] = (
+        categories.append(
             ImprovementCategory.OPPOSITE_SIGNIFICANT if len(directions) == 2
             else ImprovementCategory.CONCORDANT_SIGNIFICANT if directions
             else ImprovementCategory.NON_SIGNIFICANT

@@ -10,7 +10,7 @@ robustly one system beats another regardless of metric weighting.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import MetricVector, ScoreTable
@@ -194,16 +194,20 @@ def robust_set_uir(table: ScoreTable, threshold: float) -> set[tuple[str, str]]:
     }
 
 
-def robust_set_f(
-    table: ScoreTable,
-    threshold: float,
-    alpha: float = 0.5,
-) -> set[tuple[str, str]]:
+def robust_set_f(table: ScoreTable, threshold: float, alpha: float = 0.5) -> set[tuple[str, str]]:
     """Ordered system pairs whose mean-F difference strictly exceeds the threshold."""
-    return _f_gains({s: mean_f_measure(table, s, alpha) for s in table.systems}, threshold)
+    return _f_gain_set([{s: mean_f_measure(table, s, alpha) for s in table.systems}], threshold)
 
 
-def _f_gains(means: Mapping[str, float], threshold: float) -> set[tuple[str, str]]:
-    """``robust_set_f`` from each system's mean F, once ``MAX_PAIRS`` is checked."""
-    _check_pairs(len(means))
-    return {(a, b) for a in means for b in means if a != b and means[a] - means[b] > threshold}
+def _f_gains(means: Sequence[Mapping[str, float]], pairs: list, threshold: float = 0.0) -> list:
+    """Whether each pair (a, b), then each mirror (b, a), has a mean-F gap
+    above ``threshold`` in every mapping of ``means``; b - a == -(a - b) exactly."""
+    return [all(s * (m[a] - m[b]) > threshold for m in means) for s in (1, -1) for a, b in pairs]
+
+
+def _f_gain_set(means: Sequence[Mapping[str, float]], threshold: float) -> set[tuple[str, str]]:
+    """The ordered pairs ``_f_gains`` admits, once ``MAX_PAIRS`` is checked."""
+    _check_pairs(len(means[0]))
+    pairs = list(combinations(means[0], 2))
+    ordered = (p[::s] for s in (1, -1) for p in pairs)
+    return set(compress(ordered, _f_gains(means, pairs, threshold)))

@@ -26,7 +26,7 @@ from pathlib import Path
 SYSTEMS = 1000
 CASES = 20
 SEEDS = (0, 1, 2)
-PEAK_MB = {"rank": 160, "threshold-sweep": 300, "predict": 210}
+PEAK_MB = {"rank": 160, "threshold-sweep": 180, "predict": 138}
 
 
 def write_table(path: Path, seed: int) -> None:

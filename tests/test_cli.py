@@ -131,6 +131,32 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: invalid: two --system files have the system id 'sysA'\n"
 
+    def test_system_id_with_edge_whitespace_refused(self, clustering_files, tmp_path, capsys):
+        # rank strips fields, so " sysA" would be read back as a second "sysA".
+        gold, sys_a, _ = clustering_files
+        padded = tmp_path / " sysA.tsv"
+        padded.write_text(Path(sys_a).read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["eval", "--gold", gold, "--system", sys_a, "--system", str(padded)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid: system id ' sysA' is empty, space-padded or holds a line break\n"
+
+    def test_case_id_with_a_line_break_refused_before_reading(self, clustering_files, tmp_path, capsys):
+        _, sys_a, _ = clustering_files
+        missing = str(tmp_path / "nope.tsv")
+        assert main(["eval", "--gold", missing, "--system", sys_a, "--case-id", "c\nd"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid: test case id 'c\\nd' is empty, space-padded or holds a line break\n"
+
+    def test_empty_case_id_refused(self, clustering_files, capsys):
+        # An empty id is not a request for the gold file's stem.
+        gold, sys_a, _ = clustering_files
+        assert main(["eval", "--gold", gold, "--system", sys_a, "--case-id", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid: test case id '' is empty, space-padded or holds a line break\n"
+
 
 class TestCompare:
     def test_counts_and_uir(self, scores_csv, capsys):

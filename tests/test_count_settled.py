@@ -212,7 +212,7 @@ LEVELS = (0.05, 0.01, 1e-6, 0.5, 1e-300)
 @given(shifted_tables(), st.sampled_from(LEVELS))
 def test_categories_and_sweep_equal_the_oracle(table, level):
     pairs = [(a, b) for a in table.systems for b in table.systems if a != b]
-    found = stats._categories(table, pairs, level)
+    found = dict(zip(pairs, stats._categories(table, pairs, level)))
     for a, b in pairs:
         assert found[a, b] is oracle.categorize_improvement(table, a, b, level)
     grid = [-1.0, -0.5, 0.0, 0.25, 1.0]

@@ -177,7 +177,7 @@ class TestOneSignedVerdict:
     )
     def test_categories_and_sweep_equal_the_oracle(self, table, level):
         pairs = [(a, b) for a in table.systems for b in table.systems]
-        found = _categories(table, pairs, level)
+        found = dict(zip(pairs, _categories(table, pairs, level)))
         for a, b in pairs:
             assert found[a, b] is oracle.categorize_improvement(table, a, b, level)
         grid = [-1.0, -0.5, 0.0, 0.25, 1.0]

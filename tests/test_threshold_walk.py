@@ -91,6 +91,62 @@ def test_predictor_curves_equal_per_threshold_loop(data):
     )
 
 
+def intersected_f_gains(tables, alpha=0.5):
+    """Gold-consistent pairs as the intersection of each table's set of
+    ordered pairs with a positive mean-F gap."""
+    gains = []
+    for table in tables:
+        means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
+        gains.append({(a, b) for a in means for b in means if a != b and means[a] - means[b] > 0.0})
+    return set.intersection(*gains)
+
+
+@st.composite
+def shuffled_collections(draw):
+    """Two or three collections over one system set, each listing the
+    systems in its own order; copied systems tie in mean F."""
+    n_systems, n_cases = draw(st.integers(2, 5)), draw(st.integers(3, 6))
+    tables = []
+    for i in range(draw(st.integers(2, 3))):
+        scores = draw(score_maps(n_systems, n_cases))
+        order = draw(st.permutations(sorted(scores)))
+        tables.append(make_table({s: scores[s] for s in order}, collection_id=f"c{i}"))
+    return tables
+
+
+def check_gold_target(tables, reference, grid, alpha=0.5):
+    target = gold_consistent_pairs(tables, alpha)
+    assert target == intersected_f_gains(tables, alpha)
+    if not target:
+        with pytest.raises(ValueError, match="no gold-consistent pairs"):
+            predictor_curves(reference, tables, grid, alpha)
+        return
+    assert_same(
+        predictor_curves(reference, tables, grid, alpha),
+        sweep_oracle.predictor_curves(reference, tables, grid, alpha),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_collections(), st.data())
+def test_gold_target_follows_the_reference_order(tables, data):
+    # The reference is never the first collection, whose pair order may differ.
+    reference = tables[data.draw(st.integers(1, len(tables) - 1))]
+    alpha = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+    scores = sweep_oracle.predictor_scores(reference, alpha)
+    grid = draw_grid(data, [v for by_pair in scores.values() for v in by_pair.values()])
+    check_gold_target(tables, reference, grid, alpha)
+
+
+def test_tied_means_give_neither_direction():
+    # y and z tie in the first collection, which lists the systems in the
+    # reverse of the reference's order.
+    first = make_table({"x": [(0.9, 0.9)] * 3, "y": [(0.5, 0.5)] * 3, "z": [(0.5, 0.5)] * 3})
+    reference = make_table({"z": [(0.2, 0.3)] * 3, "y": [(0.6, 0.5)] * 3, "x": [(0.8, 0.8)] * 3})
+    assert gold_consistent_pairs([first, reference]) == {("x", "y"), ("x", "z")}
+    check_gold_target([first, reference], reference, [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
 def test_sweeps_at_grid_cap_stay_fast():
     rng = np.random.default_rng(57)
     tables = [random_table(rng, n_cases=10, n_systems=30) for _ in range(3)]
