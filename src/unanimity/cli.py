@@ -16,21 +16,20 @@ import stat
 import sys
 from pathlib import Path
 
+# eval needs only data and metrics; every other handler imports the modules
+# it runs, so that a process loads no other command's code.
 from unanimity.data import (
     SCORE_HEADER,
     ParseError,
     ScoreTable,
     ValidationError,
+    _check_ids,
     _csv_text,
     parse_clustering,
     parse_score_table,
     validate_pair,
 )
 from unanimity.metrics import MetricPair, metric_pair_columns, score_pair
-from unanimity.experiments import ThresholdSweepRow, alpha_sweep, predictor_curves, threshold_sweep
-from unanimity.report import render_ranking_report
-from unanimity.stats import categorize_improvement, parametric_uir
-from unanimity.uir import unanimous_improvement_ratio
 
 MAX_GRID_POINTS = 100_000
 METRIC_PAIRS = [pair.value for pair in MetricPair]
@@ -91,10 +90,8 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     # A file's stem is its system id; a score table has one score per (case, id, metric).
     ids = [Path(path).stem for path in args.system]
     case_id = Path(args.gold).stem if args.case_id is None else args.case_id
-    # The score parser strips each field and reads one record per line.
-    for kind, name in [("test case id", case_id), *(("system id", s) for s in ids)]:
-        if not name or name != name.strip() or "\r" in name or "\n" in name:
-            raise ValueError(f"{kind} {name!r} is empty, space-padded or holds a line break")
+    _check_ids("test case id", [case_id])
+    _check_ids("system id", ids)
     for i, system_id in enumerate(ids):
         if system_id in ids[:i]:
             raise ValueError(f"two --system files have the system id {system_id!r}")
@@ -112,6 +109,9 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
+    from unanimity.stats import categorize_improvement, parametric_uir
+    from unanimity.uir import unanimous_improvement_ratio
+
     table = _load_table(args.scores, args)
     result = unanimous_improvement_ratio(table, args.a, args.b)
     lines = [
@@ -135,6 +135,8 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _cmd_rank(args: argparse.Namespace) -> str:
+    from unanimity.report import render_ranking_report
+
     table = _load_table(args.scores, args)
     rows = render_ranking_report(table, args.alpha, args.uir_threshold)
     for row in rows:
@@ -159,6 +161,8 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 
 def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
+    from unanimity.experiments import alpha_sweep
+
     table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     sweep = alpha_sweep(table, grid)
@@ -171,6 +175,8 @@ def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
+    from unanimity.experiments import ThresholdSweepRow, threshold_sweep
+
     table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
     rows = threshold_sweep(table, grid, args.alpha, args.significance_level)
@@ -181,6 +187,8 @@ def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
+    from unanimity.experiments import predictor_curves
+
     collections = [_load_table(path, args) for path in args.collections]
     for path, reference in zip(args.collections, collections):
         if _same_file(path, args.reference):

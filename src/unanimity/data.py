@@ -39,6 +39,18 @@ def _check_items(items: list[str]) -> None:
         raise ValueError(f"item id contains whitespace: {bad!r}" if bad else "empty item id")
 
 
+def _check_ids(
+    kind: str, ids: Iterable[str], error: Callable[[str], ValueError] = ValueError
+) -> None:
+    """Refuse, naming the first, an id a score CSV cannot carry back: the
+    parser strips each field and reads one record per line, so an id may
+    not be empty, have whitespace ``str.strip`` removes at either end, or
+    hold a CR or LF."""
+    for name in ids:
+        if not name or name != name.strip() or "\r" in name or "\n" in name:
+            raise error(f"{kind} {name!r} is empty, space-padded or holds a line break")
+
+
 class _Value:
     """Base of the validated types: an immutable value object.
 
@@ -322,9 +334,10 @@ def _build_columns(
 
     The one validated builder behind every way of making a ``ScoreTable``.
     Cases, systems and metrics keep first-appearance order.  An empty name,
-    a score outside [0, 1], a duplicate and a missing score are raised as
-    ``error(message, line)``.  Returns (cases, systems, metrics, columns),
-    with one tuple of scores in case order per (system, metric).
+    a score outside [0, 1], a duplicate, an id ``_check_ids`` refuses and a
+    missing score are raised as ``error(message, line)``.  Returns (cases,
+    systems, metrics, columns), with one tuple of scores in case order per
+    (system, metric).
     """
     cases: dict[str, None] = {}
     metrics: dict[str, None] = {}
@@ -346,6 +359,8 @@ def _build_columns(
     if not filed:
         raise error("no scores", None)
     systems = dict.fromkeys(system for system, _ in filed)
+    for kind, ids in ("test case id", cases), ("system id", systems), ("metric id", metrics):
+        _check_ids(kind, ids, lambda message: error(message, None))
     # Duplicates are rejected above, so a short count means a missing score.
     if sum(map(len, filed.values())) != len(cases) * len(systems) * len(metrics):
         missing = next(

@@ -40,13 +40,18 @@ def _check_nonempty(system: Clustering, gold: GoldStandard) -> None:
         raise ValueError("empty gold standard")
 
 
-def _labels_by_item(clustering: Clustering) -> dict[str, list[str]]:
-    """Item -> labels of every cluster holding it, so overlap is kept."""
-    labels: dict[str, list[str]] = {}
-    for label, members in clustering.clusters.items():
-        for item in members:
-            labels.setdefault(item, []).append(label)
-    return labels
+def _labels_by_item(clustering: Clustering) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Item -> label of the last cluster holding it, and item -> labels of
+    the other clusters holding it, which is empty unless clusters overlap."""
+    label_of = {item: label for label, members in clustering.clusters.items() for item in members}
+    extra: dict[str, list[str]] = {}
+    # An item in two clusters is counted twice in n but kept once in label_of.
+    if len(label_of) != clustering.n:
+        for label, members in clustering.clusters.items():
+            for item in members:
+                if label_of[item] != label:
+                    extra.setdefault(item, []).append(label)
+    return label_of, extra
 
 
 def _purity_pair(system: Clustering, gold: GoldStandard) -> tuple[float, float]:
@@ -57,15 +62,18 @@ def _purity_pair(system: Clustering, gold: GoldStandard) -> tuple[float, float]:
     cluster reaches, scores 0.
     """
     _check_nonempty(system, gold)
-    categories_of = _labels_by_item(gold)
+    category_of, extra = _labels_by_item(gold)
     n, n_gold = system.n, gold.n
     total = inverse = 0.0
     cover: dict[str, int] = {}
     # Fixed label order keeps the float sums reproducible across runs.
     for label in system.labels:
         cluster = system.clusters[label]
-        # Items outside gold map to None and are dropped by filter().
-        row = Counter(chain.from_iterable(filter(None, map(categories_of.get, cluster))))
+        row = Counter(map(category_of.get, cluster))
+        if extra:
+            row.update(chain.from_iterable(filter(None, map(extra.get, cluster))))
+        # Items outside gold are counted under None.
+        row.pop(None, None)
         # max(k) / |c| equals max(k / |c|): dividing by |c| > 0 keeps order.
         best = max(row.values()) / len(cluster) if row else 0.0
         total += len(cluster) / n * best
@@ -99,9 +107,8 @@ def inverse_purity(system: Clustering, gold: GoldStandard) -> float:
 
 
 def _single_assignment(clustering: Clustering) -> dict[str, str]:
-    label_of = {item: label for label, members in clustering.clusters.items() for item in members}
-    # An item in two clusters is counted twice in n but kept once here.
-    if len(label_of) != clustering.n:
+    label_of, extra = _labels_by_item(clustering)
+    if extra:
         raise ValueError("overlap unsupported for bcubed; use purity_ip")
     return label_of
 

@@ -700,7 +700,7 @@ class TestParserBasics:
 
 
 IMPORT_PROBE = """
-import json, pkgutil, sys
+import json, sys
 import unanimity.cli
 from unanimity.cli import main
 
@@ -710,23 +710,15 @@ state = {"import": [m for m in WATCHED if m in imported]}
 for name, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, name
     state[name] = [m for m in WATCHED if m in sys.modules]
-# Last, because pkgutil.iter_modules imports inspect itself.
-package = sys.modules["unanimity"]
-state["unloaded"] = sorted(
-    m.name for m in pkgutil.iter_modules(package.__path__, "unanimity.")
-    if m.name not in imported
-)
 print(json.dumps(state))
 """
 
 
-def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_path):
-    """No command loads numpy, scipy, dataclasses or inspect (with ast, dis
-    and tokenize behind it), and ``import unanimity.cli`` still loads every
-    submodule of the package."""
+def command_steps(scores_csv, clustering_files, collections, tmp_path):
+    """(name, argv) of one run of each subcommand, writing to a scratch file."""
     gold, sys_a, _ = clustering_files
     out = str(tmp_path / "out.txt")
-    steps = [
+    return [
         ("eval", ["eval", "--system", sys_a, "--gold", gold, "--output", out]),
         ("rank", ["rank", "--scores", scores_csv, "--output", out]),
         (
@@ -742,17 +734,27 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_p
              "--output", out],
         ),
     ]
+
+
+def run_probe(probe: str, *args: str):
+    """Run ``probe`` in a fresh interpreter on this package; its JSON stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
+        [sys.executable, "-c", probe, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         check=True,
     )
-    state = json.loads(proc.stdout)
-    assert state["unloaded"] == []
+    return json.loads(proc.stdout)
+
+
+def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_path):
+    """No command loads numpy, scipy, dataclasses or inspect (with ast, dis
+    and tokenize behind it)."""
+    steps = command_steps(scores_csv, clustering_files, collections, tmp_path)
+    state = run_probe(IMPORT_PROBE, json.dumps(steps))
     # The watched modules loaded after the import and after each step.
     assert state["import"] == []
     assert state["eval"] == []
@@ -761,6 +763,52 @@ def test_heavy_imports_deferred(scores_csv, clustering_files, collections, tmp_p
     assert state["alpha-sweep"] == []
     assert state["threshold-sweep"] == []
     assert state["predict"] == []
+
+
+PACKAGE_PROBE = """
+import json, sys
+import unanimity
+state = {"import": sorted(m for m in sys.modules if m.startswith("unanimity."))}
+state["stats"] = unanimity.stats.__name__
+print(json.dumps(state))
+"""
+
+COMMAND_PROBE = """
+import json, sys
+from unanimity.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("unanimity."))))
+"""
+
+# What each subcommand loads besides unanimity.cli, unanimity.data and
+# unanimity.metrics, which every one of them needs.
+COMMAND_MODULES = {
+    "eval": set(),
+    "rank": {"uir", "report"},
+    "compare": {"uir", "stats"},
+    "alpha-sweep": {"uir", "stats", "experiments"},
+    "threshold-sweep": {"uir", "stats", "experiments"},
+    "predict": {"uir", "stats", "experiments"},
+}
+
+
+def test_import_unanimity_loads_no_submodule():
+    state = run_probe(PACKAGE_PROBE)
+    assert state["import"] == []
+    # A submodule read as an attribute is imported on first use.
+    assert state["stats"] == "unanimity.stats"
+
+
+def test_each_subcommand_loads_only_its_modules(
+    scores_csv, clustering_files, collections, tmp_path
+):
+    """Each subcommand, in a fresh interpreter, loads exactly the package
+    modules it runs."""
+    for name, argv in command_steps(scores_csv, clustering_files, collections, tmp_path):
+        expected = {"cli", "data", "metrics"} | COMMAND_MODULES[name]
+        assert run_probe(COMMAND_PROBE, json.dumps(argv)) == sorted(
+            f"unanimity.{module}" for module in expected
+        ), name
 
 
 RUN_ALL_PROBE = """

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unanimity.data import (
     Clustering,
@@ -370,6 +372,54 @@ class TestScoreTable:
         assert t.scores_for("sysA", "precision") == (0.5, 0.0)
         with pytest.raises(ValueError, match="unknown system"):
             t.scores_for("nope", "precision")
+
+
+# Ids with commas, quotes, inner spaces and non-ASCII characters, but no
+# NUL, which csv refuses on Python 3.10, and none _check_ids refuses.
+IDS = st.one_of(
+    st.sampled_from(["a,b", '"q"', 'a "b" c', "in ner", "x'y", "é", "日本語", "#c"]),
+    st.text(
+        st.characters(exclude_characters="\x00\r\n", exclude_categories=("Cs",)),
+        min_size=1,
+        max_size=6,
+    ),
+).filter(lambda name: name == name.strip())
+
+
+class TestIdsCarriedBack:
+    """A table holds only ids its CSV form carries back: the parser strips
+    each field and reads one record per line."""
+
+    @pytest.mark.parametrize("bad", [" a", "a ", "a\nb", "a\rb", "\u2028a", "a\x1c"])
+    @pytest.mark.parametrize("kind, at", [("test case id", 0), ("system id", 1), ("metric id", 2)])
+    def test_from_rows_refuses(self, kind, at, bad):
+        row = ["c", "s", "m", 0.5]
+        row[at] = bad
+        with pytest.raises(ValidationError) as refused:
+            ScoreTable.from_rows("c", [tuple(row)])
+        assert str(refused.value) == f"{kind} {bad!r} is empty, space-padded or holds a line break"
+
+    def test_constructor_refuses(self):
+        with pytest.raises(ValidationError) as refused:
+            ScoreTable("c", ("x",), ("s ",), {("x", "s "): MetricVector({"p": 0.5})})
+        assert str(refused.value) == "system id 's ' is empty, space-padded or holds a line break"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(IDS, min_size=1, max_size=3, unique=True),
+        st.lists(IDS, min_size=1, max_size=3, unique=True),
+        st.lists(IDS, min_size=1, max_size=2, unique=True),
+        st.data(),
+    )
+    def test_serialized_table_parses_back(self, cases, systems, metrics, data):
+        rows = [
+            (case, system, metric, data.draw(st.floats(0.0, 1.0)))
+            for case in cases
+            for system in systems
+            for metric in metrics
+        ]
+        table = ScoreTable.from_rows("t", rows)
+        assert parse_score_table(serialize_score_table(table), collection_id="t") == table
 
 
 class TestByteOrderMark:
