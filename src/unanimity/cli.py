@@ -34,8 +34,13 @@ from unanimity.metrics import MetricPair, metric_pair_columns, score_pair
 MAX_GRID_POINTS = 100_000
 METRIC_PAIRS = [pair.value for pair in MetricPair]
 
-# Options that name files the command reads; --output may name none of them.
-INPUT_OPTIONS = ("system", "gold", "scores", "reference", "collections")
+
+class _Path(str):
+    """The value of an option that names a file: an empty one is refused."""
+
+
+class _Input(_Path):
+    """A file the command reads: ``--output`` may not name it."""
 
 
 def _fmt(value: float) -> str:
@@ -205,104 +210,65 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     return _csv_text(("predictor", "t", "precision", "recall"), rows)
 
 
+# Each option that several subcommands take, as ``add_argument`` keywords.
+_PERCENT = (
+    "--percent", dict(action="store_true", help="scores are percentages; divide by 100 on ingest")
+)
+_METRICS = (
+    "--metrics", dict(choices=METRIC_PAIRS, help="narrow the score table to this metric pair")
+)
+_TABLE = (("--scores", dict(type=_Input, required=True, help="score CSV file")), _PERCENT, _METRICS)
+_ALPHA = ("--alpha", dict(type=float, default=0.5, help="precision weight"))
+_LEVEL = ("--significance-level", dict(type=float, default=0.05))
+_GRID = dict(help="start:stop:step (default %(default)s)")
+_OUTPUT = ("--output", dict(type=_Path, help="write the report here instead of stdout"))
+
+# Each subcommand's handler, help and options in --help order; every one ends with --output.
+_SUBCOMMANDS = {
+    "eval": (_cmd_eval, "score system clusterings against a gold standard", (
+        ("--system", dict(type=_Input, action="append", required=True,
+                          help="system TSV file (repeatable)")),
+        ("--gold", dict(type=_Input, required=True, help="gold standard TSV file")),
+        ("--metrics", dict(choices=METRIC_PAIRS, default=MetricPair.PURITY_IP.value,
+                           help="metric pair to compute (default purity_ip)")),
+        ("--strict", dict(action="store_true", help="reject item-set mismatches")),
+        ("--case-id", dict(help="test case id (default: gold file stem)")),
+    )),
+    "compare": (_cmd_compare, "unanimous-improvement breakdown of two systems", (
+        *_TABLE,
+        ("--a", dict(required=True, help="first system id")),
+        ("--b", dict(required=True, help="second system id")),
+        ("--parametric", dict(action="store_true", help="add the parametric UIR estimate")),
+        _LEVEL,
+    )),
+    "rank": (_cmd_rank, "mean-F ranking annotated with UIR data", (
+        *_TABLE, _ALPHA, ("--uir-threshold", dict(type=float, default=0.25)),
+    )),
+    "alpha-sweep": (_cmd_alpha_sweep, "mean-F curves over the alpha grid", (
+        *_TABLE, ("--grid", dict(_GRID, default="0:1:0.01")),
+    )),
+    "threshold-sweep": (_cmd_threshold_sweep, "accepted-pair profile over UIR thresholds", (
+        *_TABLE, ("--grid", dict(_GRID, default="-1:1:0.05")), _ALPHA, _LEVEL,
+    )),
+    "predict": (_cmd_predict, "cross-collection robustness prediction", (
+        ("--reference", dict(type=_Input, required=True, help="reference collection CSV")),
+        ("--collections", dict(type=_Input, nargs="+", required=True, help="all collection CSVs")),
+        _PERCENT, _METRICS, ("--grid", dict(_GRID, default="-1:1:0.05")), _ALPHA,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unanimity",
         description="Clustering evaluation with weighting-robust system comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", help="write the report here instead of stdout")
-
-    def add_percent(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--percent",
-            action="store_true",
-            help="scores are percentages; divide by 100 on ingest",
-        )
-
-    def add_metric_pair(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--metrics",
-            choices=METRIC_PAIRS,
-            help="narrow the score table to this metric pair",
-        )
-
-    def add_table_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scores", required=True, help="score CSV file")
-        add_percent(p)
-        add_metric_pair(p)
-
-    def add_grid(p: argparse.ArgumentParser, default: str) -> None:
-        p.add_argument("--grid", default=default, help=f"start:stop:step (default {default})")
-
-    def add_alpha(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=float, default=0.5, help="precision weight")
-
-    def add_significance_level(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--significance-level", type=float, default=0.05)
-
-    p = sub.add_parser("eval", help="score system clusterings against a gold standard")
-    p.add_argument("--system", action="append", required=True, help="system TSV file (repeatable)")
-    p.add_argument("--gold", required=True, help="gold standard TSV file")
-    p.add_argument(
-        "--metrics",
-        choices=METRIC_PAIRS,
-        default=MetricPair.PURITY_IP.value,
-        help="metric pair to compute (default purity_ip)",
-    )
-    p.add_argument("--strict", action="store_true", help="reject item-set mismatches")
-    p.add_argument("--case-id", help="test case id (default: gold file stem)")
-    add_common(p)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("compare", help="unanimous-improvement breakdown of two systems")
-    add_table_input(p)
-    p.add_argument("--a", required=True, help="first system id")
-    p.add_argument("--b", required=True, help="second system id")
-    p.add_argument(
-        "--parametric", action="store_true", help="add the parametric UIR estimate"
-    )
-    add_significance_level(p)
-    add_common(p)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("rank", help="mean-F ranking annotated with UIR data")
-    add_table_input(p)
-    add_alpha(p)
-    p.add_argument("--uir-threshold", type=float, default=0.25)
-    add_common(p)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("alpha-sweep", help="mean-F curves over the alpha grid")
-    add_table_input(p)
-    add_grid(p, "0:1:0.01")
-    add_common(p)
-    p.set_defaults(handler=_cmd_alpha_sweep)
-
-    p = sub.add_parser(
-        "threshold-sweep", help="accepted-pair profile over UIR thresholds"
-    )
-    add_table_input(p)
-    add_grid(p, "-1:1:0.05")
-    add_alpha(p)
-    add_significance_level(p)
-    add_common(p)
-    p.set_defaults(handler=_cmd_threshold_sweep)
-
-    p = sub.add_parser("predict", help="cross-collection robustness prediction")
-    p.add_argument("--reference", required=True, help="reference collection CSV")
-    p.add_argument(
-        "--collections", nargs="+", required=True, help="all collection CSVs"
-    )
-    add_percent(p)
-    add_metric_pair(p)
-    add_grid(p, "-1:1:0.05")
-    add_alpha(p)
-    add_common(p)
-    p.set_defaults(handler=_cmd_predict)
-
+    for name, (handler, help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*options, _OUTPUT):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -323,12 +289,13 @@ def _same_file(a: str, b: str) -> bool:
     )
 
 
-def _check_output(args: argparse.Namespace) -> None:
-    """Refuse an --output that is one of the command's input files."""
-    for name in INPUT_OPTIONS:
-        value = getattr(args, name, None)
-        for path in [value] if isinstance(value, str) else value or ():
-            if _same_file(path, args.output):
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an empty path, and an ``--output`` that names a file the command reads."""
+    for dest, value in vars(args).items():
+        for path in value if isinstance(value, list) else [value]:
+            if isinstance(path, _Path) and not path:
+                raise ValueError(f"--{dest} names no file")
+            if isinstance(path, _Input) and args.output and _same_file(path, args.output):
                 raise ValueError(f"--output {args.output} is also an input file")
 
 
@@ -375,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.output:
-            _check_output(args)
+        _check_paths(args)
         text = args.handler(args)
         if args.output:
             _write_output(Path(args.output), text)
