@@ -106,9 +106,10 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     for path, system_id in zip(args.system, ids):
         system = parse_clustering(_read(path))
         report = validate_pair(system, gold, strict=args.strict)
+        # Notes only after scoring, so a refusal (bcubed's) prints none of them.
+        vector = score_pair(system, gold, pair)
         for note in report.notes:
             print(f"warning: {system_id}: {note}", file=sys.stderr)
-        vector = score_pair(system, gold, pair)
         rows.extend((case_id, system_id, name, _fmt(vector[name])) for name in vector.names)
     return _csv_text(SCORE_HEADER, rows)
 

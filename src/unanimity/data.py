@@ -381,8 +381,8 @@ class ScoreTable(_Value):
     Scores are stored once, one tuple per (system, metric) column in case
     order; a cell's ``MetricVector`` is built only when ``cell()`` asks for
     it.  The constructor takes one metric vector per (case, system) cell.
-    Equality compares the shown fields and the columns; the case index and
-    system set derive from them.
+    Equality compares the shown fields and the columns; the case index
+    derives from them.
     """
 
     _shown = ("collection_id", "cases", "systems", "metric_names")
@@ -393,7 +393,6 @@ class ScoreTable(_Value):
     metric_names: tuple[str, ...]
     _columns: Mapping[tuple[str, str], Column]
     _case_index: Mapping[str, int]
-    _system_set: frozenset[str]
 
     def __init__(
         self,
@@ -432,7 +431,6 @@ class ScoreTable(_Value):
             metric_names=metric_names,
             _columns=columns,
             _case_index={case: i for i, case in enumerate(cases)},
-            _system_set=frozenset(systems),
         )
 
     @classmethod
@@ -454,20 +452,21 @@ class ScoreTable(_Value):
 
     def cell(self, case: str, system: str) -> MetricVector:
         i = self._case_index.get(case)
-        if i is None or system not in self._system_set:
+        if i is None or (system, self.metric_names[0]) not in self._columns:
             raise ValueError(f"unknown cell ({case}, {system})")
         return MetricVector({m: self._columns[system, m][i] for m in self.metric_names})
 
     def check_system(self, system: str) -> None:
-        if system not in self._system_set:
+        if (system, self.metric_names[0]) not in self._columns:
             raise ValueError(f"unknown system {system!r}")
 
     def scores_for(self, system: str, metric: str) -> Column:
         """Per-case scores of one system on one metric, in case order."""
-        self.check_system(system)
-        if metric not in self.metric_names:
+        column = self._columns.get((system, metric))
+        if column is None:
+            self.check_system(system)  # an unknown system is named first
             raise ValueError(f"unknown metric {metric!r}")
-        return self._columns[system, metric]
+        return column
 
     def select_metrics(self, names: Sequence[str]) -> "ScoreTable":
         """The same table restricted to the given metric names, in the given

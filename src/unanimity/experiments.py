@@ -100,22 +100,12 @@ class AlphaSweep(NamedTuple):
     curves: Mapping[str, tuple[float, ...]]
 
 
-def alpha_sweep(
-    table: ScoreTable,
-    grid: Sequence[float] | None = None,
-    systems: Sequence[str] | None = None,
-) -> AlphaSweep:
+def alpha_sweep(table: ScoreTable, grid: Sequence[float] | None = None) -> AlphaSweep:
     """Mean F of each system at every alpha of the grid."""
     grid = alpha_grid() if grid is None else _check_grid(grid, 0.0, 1.0, "alpha")
-    if systems is None:
-        systems = table.systems
-    else:
-        systems = tuple(systems)
-        if not systems:
-            raise ValueError("no systems selected")
     p_col, r_col = metric_pair_columns(table)
     curves: dict[str, tuple[float, ...]] = {}
-    for system in systems:
+    for system in table.systems:
         precision = table.scores_for(system, p_col)
         recall = table.scores_for(system, r_col)
         curves[system] = tuple(_mean_f(precision, recall, grid))

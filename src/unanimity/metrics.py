@@ -106,37 +106,21 @@ def inverse_purity(system: Clustering, gold: GoldStandard) -> float:
     return _purity_pair(system, gold)[1]
 
 
-def _single_assignment(clustering: Clustering) -> dict[str, str]:
-    label_of, extra = _labels_by_item(clustering)
-    if extra:
-        raise ValueError("overlap unsupported for bcubed; use purity_ip")
-    return label_of
-
-
-def _bcubed_counts(
-    system: Clustering, gold: GoldStandard
-) -> tuple[dict[str, str], dict[str, str], Counter[tuple[str, str]]]:
-    """Item -> label maps of both sides and the overlap counts |c & g|.
-
-    Every system item must be in gold.
-    """
-    _check_nonempty(system, gold)
-    cluster_of = _single_assignment(system)
-    category_of = _single_assignment(gold)
-    extra = sorted(system.items - gold.items)
-    if extra:
-        raise ValidationError("system items absent from gold: " + " ".join(extra))
-    counts = Counter((c, category_of[item]) for item, c in cluster_of.items())
-    return cluster_of, category_of, counts
-
-
 def _bcubed_pair(system: Clustering, gold: GoldStandard) -> tuple[float, float]:
     """BCubed precision and recall from one count and one sorted walk.
 
-    Every system item is a gold item, so the walk over the gold items meets
-    the system items in their own sorted order.
+    Neither side may overlap and every system item must be a gold item, so
+    the walk over the gold items meets the system items in their own order.
     """
-    cluster_of, category_of, counts = _bcubed_counts(system, gold)
+    _check_nonempty(system, gold)
+    cluster_of, system_overlap = _labels_by_item(system)
+    category_of, gold_overlap = _labels_by_item(gold)
+    if system_overlap or gold_overlap:
+        raise ValueError("overlap unsupported for bcubed; use purity_ip")
+    absent = sorted(system.items - gold.items)
+    if absent:
+        raise ValidationError("system items absent from gold: " + " ".join(absent))
+    counts = Counter((c, category_of[item]) for item, c in cluster_of.items())
     clusters = system.clusters
     categories = gold.clusters
     precision = recall = 0.0

@@ -1,10 +1,10 @@
 """Plain-Python reference versions of the clustering scores and the score
-table builder that count each overlap and each score row once.
+table builder.
 
-These are the versions ``unanimity.metrics`` and ``unanimity.data`` used
-before: purity and inverse purity each count the overlaps |c & g| in their
-own direction, the two BCubed scores each build the counts and walk the
-sorted items, and the score table is indexed by one ``(case, system,
+Purity and inverse purity each count the overlaps |c & g| in their own
+direction.  The two BCubed scores each walk the sorted items and intersect
+each item's cluster with its category, so they share no counting code with
+``unanimity.metrics``.  The score table is indexed by one ``(case, system,
 metric)`` key per row, with CSV rows numbered by record.  The arithmetic is
 the same, so the tests hold the package to them with ``==``.
 """
@@ -17,7 +17,7 @@ from collections import Counter
 from itertools import chain
 
 from unanimity.data import SCORE_HEADER, Clustering, ParseError, ScoreTable, ValidationError
-from unanimity.metrics import _bcubed_counts, _check_nonempty
+from unanimity.metrics import _check_nonempty
 
 
 def _labels_by_item(clustering: Clustering) -> dict[str, list[str]]:
@@ -46,25 +46,43 @@ def inverse_purity(system: Clustering, gold: Clustering) -> float:
     return purity(gold, system)
 
 
+def _bcubed_parts(system: Clustering, gold: Clustering):
+    """Item -> cluster and item -> category maps, and |c & g| by set
+    intersection; the checks and their order are the package's."""
+    _check_nonempty(system, gold)
+    labels = [_labels_by_item(system), _labels_by_item(gold)]
+    if any(len(found) > 1 for side in labels for found in side.values()):
+        raise ValueError("overlap unsupported for bcubed; use purity_ip")
+    absent = sorted(system.items - gold.items)
+    if absent:
+        raise ValidationError("system items absent from gold: " + " ".join(absent))
+    cluster_of, category_of = ({item: found[0] for item, found in side.items()} for side in labels)
+
+    def overlap(c: str, g: str) -> int:
+        return len(system.clusters[c] & gold.clusters[g])
+
+    return cluster_of, category_of, overlap
+
+
 def bcubed_precision(system: Clustering, gold: Clustering) -> float:
-    cluster_of, category_of, counts = _bcubed_counts(system, gold)
+    cluster_of, category_of, overlap = _bcubed_parts(system, gold)
     clusters = system.clusters
     total = 0.0
     for item in sorted(cluster_of):
         c = cluster_of[item]
-        total += counts[c, category_of[item]] / len(clusters[c])
+        total += overlap(c, category_of[item]) / len(clusters[c])
     return total / len(cluster_of)
 
 
 def bcubed_recall(system: Clustering, gold: Clustering) -> float:
-    cluster_of, category_of, counts = _bcubed_counts(system, gold)
+    cluster_of, category_of, overlap = _bcubed_parts(system, gold)
     categories = gold.clusters
     total = 0.0
     for item in sorted(category_of):
         g = category_of[item]
         c = cluster_of.get(item)
         if c is not None:
-            total += counts[c, g] / len(categories[g])
+            total += overlap(c, g) / len(categories[g])
     return total / len(category_of)
 
 

@@ -86,6 +86,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert "warning" in err and "unclustered" in err
 
+    @pytest.fixture
+    def outside_gold(self, tmp_path):
+        gold = tmp_path / "g.tsv"
+        gold.write_text("g\ta\n", encoding="utf-8")
+        system = tmp_path / "sys.tsv"
+        system.write_text("c\ta\nc\tz\n", encoding="utf-8")
+        return ["eval", "--system", str(system), "--gold", str(gold)]
+
+    def test_bcubed_refuses_items_outside_gold_without_a_warning(self, outside_gold, capsys):
+        # The coverage note describes purity's treatment, which bcubed refuses.
+        assert main([*outside_gold, "--metrics", "bcubed"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: validation: system items absent from gold: z\n"
+        assert captured.out == ""
+
+    def test_lenient_purity_warns_on_items_outside_gold(self, outside_gold, capsys):
+        assert main(outside_gold) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: sys: 1 system item(s) absent from gold (zero best-match contribution)\n"
+        )
+        assert captured.out.splitlines()[1] == "g,sys,purity,0.500000"
+
     def test_strict_mismatch_fails(self, tmp_path, capsys):
         gold = tmp_path / "g.tsv"
         gold.write_text("g\ta\ng\tb\n", encoding="utf-8")

@@ -457,7 +457,10 @@ CELL = MetricVector({"p": 0.5})
         (lambda: parse_score_table(""), ParseError, "empty score file"),
         (lambda: parse_score_table(SCORES_CSV).select_metrics(()), ValueError, "no metrics selected"),
         (lambda: parse_score_table(SCORES_CSV).scores_for("sysA", "f"), ValueError, "unknown metric 'f'"),
+        # An unknown system is named before an unknown metric.
+        (lambda: parse_score_table(SCORES_CSV).scores_for("nope", "f"), ValueError, "unknown system 'nope'"),
         (lambda: parse_score_table(SCORES_CSV).cell("case3", "sysA"), ValueError, "unknown cell (case3, sysA)"),
+        (lambda: parse_score_table(SCORES_CSV).cell("case1", "nope"), ValueError, "unknown cell (case1, nope)"),
         (lambda: MetricVector({}), ValueError, "metric vector has no scores"),
         (lambda: MetricVector({"": 0.5}), ValueError, "empty metric name"),
         (lambda: ScoreTable("c", ("x", "x"), ("s",), {("x", "s"): CELL}), ValidationError, "duplicate test case or system ids"),

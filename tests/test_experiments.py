@@ -77,11 +77,6 @@ class TestAlphaSweep:
                     sum(values) / len(values)
                 )
 
-    def test_system_subset(self):
-        table = make_table({"a": [(0.5, 0.5)], "b": [(0.6, 0.6)]})
-        sweep = alpha_sweep(table, systems=["b"])
-        assert set(sweep.curves) == {"b"}
-
     def test_bad_grid_rejected(self):
         table = make_table({"a": [(0.5, 0.5)]})
         with pytest.raises(ValueError, match="sorted"):
@@ -359,7 +354,6 @@ class TestPredictorCurves:
     [
         (lambda table: threshold_sweep(table, []), "empty threshold grid"),
         (lambda table: predictor_curves(table, [table, table], ()), "empty threshold grid"),
-        (lambda table: alpha_sweep(table, systems=[]), "no systems selected"),
     ],
 )
 def test_refusals(run, message):

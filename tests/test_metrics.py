@@ -195,6 +195,17 @@ class TestBCubed:
         with pytest.raises(ValueError, match="use purity_ip"):
             bcubed_recall(flat, overlapping)
 
+    def test_overlap_refused_before_items_outside_gold(self):
+        overlapping_with_extra = Clustering({"x": {"a", "z"}, "y": {"a"}})
+        flat = Clustering({"g": {"a", "b"}})
+        overlapping_gold = Clustering({"g": {"a", "b"}, "h": {"a"}})
+        for system, gold in ((overlapping_with_extra, flat), (flat, overlapping_gold)):
+            for fn in (bcubed_precision, bcubed_recall):
+                with pytest.raises(ValueError) as refused:
+                    fn(system, gold)
+                assert type(refused.value) is ValueError
+                assert str(refused.value) == "overlap unsupported for bcubed; use purity_ip"
+
     def test_unclustered_gold_items_count_zero(self):
         system = Clustering({"x": {"a"}})
         gold = Clustering({"g": {"a", "b"}})
