@@ -37,8 +37,10 @@ Stdout prints six decimals, so a one-ulp move of a library float cannot
 show there.  ``float_digest`` therefore writes the ``repr`` of the library's
 floats on the same inputs: every UIR matrix entry, the Wilcoxon results and
 improvement categories at three levels, the parametric UIR of every pair,
-the alpha-sweep curves, the threshold-sweep rows, the predictor-curve
-points and the four clustering metrics.  It must equal
+the orthant probability of each pair's fitted difference model and of its
+mirror (the same model with the mean negated), the alpha-sweep curves, the
+threshold-sweep rows, the predictor-curve points and the four clustering
+metrics.  It must equal
 ``tests/data/expected/library_floats.txt`` line for line.
 
 Only the standard library is used, so the check also runs against an
@@ -61,6 +63,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from itertools import combinations
+from operator import sub
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -103,6 +106,7 @@ def float_digest() -> str:
     for name in _TABLES:
         table = u.parse_score_table((DATA / name).read_text(), collection_id=Path(name).stem)
         tables[name] = table
+        pair = u.metric_pair_columns(table)
         for (a, b), result in u.pairwise_uir_matrix(table).items():
             lines.append(f"uir {name} {a} {b} {result!r}")
         for a, b in combinations(table.systems, 2):
@@ -112,6 +116,10 @@ def float_digest() -> str:
             categories = [u.categorize_improvement(table, a, b, level).value for level in _LEVELS]
             lines.append(f"category {name} {a} {b} {categories!r}")
             lines.append(f"parametric_uir {name} {a} {b} {u.parametric_uir(table, a, b)!r}")
+            deltas = zip(*(map(sub, table.scores_for(a, m), table.scores_for(b, m)) for m in pair))
+            model = u.fit_bivariate_normal(deltas)
+            for quadrant, fitted in (("positive", model), ("negative", model.mirrored())):
+                lines.append(f"orthant_probability {name} {a} {b} {quadrant} {u.orthant_probability(fitted)!r}")
         for system, curve in u.alpha_sweep(table).curves.items():
             lines.append(f"alpha_sweep {name} {system} {curve!r}")
         for row in u.threshold_sweep(table, _THRESHOLDS):
