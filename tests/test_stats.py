@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr, roots_legendre
 from scipy.stats import rankdata
 
@@ -16,6 +18,7 @@ from unanimity.stats import (
     EXACT_CUTOFF,
     _GAUSS_LEGENDRE,
     _approx_two_sided_p,
+    _bvn_upper_tail,
     _exact_two_sided_p,
     _ndtr,
     _rank_sums,
@@ -461,6 +464,24 @@ class TestOrthant:
             model = random_model(rng)
             estimate = mc_orthant(model, 1_000_000, rng)
             assert orthant_probability(model) == pytest.approx(estimate, abs=2e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("magnitude", [0.1, 0.5, 0.8, 0.93, 0.99, 0.9999])
+    def test_tail_equals_an_independent_integral(self, magnitude, sign):
+        # P(X > h, Y > k) is the integral over x > h of phi(x) times
+        # P(Y > k | X = x) = Phi((r x - k) / sqrt(1 - r^2)): scipy's adaptive
+        # quadrature of it shares no code with the package.  The grid takes
+        # both branches, |r| < 0.925 and above.
+        r = sign * magnitude
+        s = math.sqrt((1.0 - r) * (1.0 + r))
+        for h, k in itertools.product((-2.5, -0.7, 0.0, 0.4, 1.9), (-1.3, 0.0, 0.6, 2.2)):
+            def density(x):
+                return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) * ndtr((r * x - k) / s)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                expected, _ = quad(density, h, math.inf, epsabs=1e-15, epsrel=1e-13)
+            assert abs(_bvn_upper_tail(h, k, r) - expected) <= 1e-13, (h, k)
 
     def test_degenerate_axes(self):
         model = BivariateNormalModel(np.array([0.2, -0.1]), np.diag([0.0, 0.04]))
