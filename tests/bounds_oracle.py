@@ -20,9 +20,14 @@ from __future__ import annotations
 import math
 from operator import sub
 
+import numpy as np
+
 from unanimity.data import _SCORE_MAX
 from unanimity.metrics import _check_alpha, metric_pair_columns
-from unanimity.stats import _GAUSS_LEGENDRE, _fit, _ndtr
+from unanimity.stats import _fit, _ndtr
+
+# The 20-point Gauss-Legendre rule, from numpy rather than the package's table.
+_NODES, _WEIGHTS = (tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(20))
 
 
 def bvn_upper_tail(dh: float, dk: float, r: float) -> float:
@@ -36,14 +41,6 @@ def bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     if r == 0.0:
         return _ndtr(-dh) * _ndtr(-dk)
 
-    if abs(r) < 0.3:
-        nodes = 6
-    elif abs(r) < 0.75:
-        nodes = 12
-    else:
-        nodes = 20
-    rule_nodes, rule_weights = _GAUSS_LEGENDRE[nodes]
-
     tp = 2.0 * math.pi
     h = dh
     k = dk
@@ -52,7 +49,7 @@ def bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     if abs(r) < 0.925:
         hs = (h * h + k * k) / 2.0
         asr = math.asin(r) / 2.0
-        for node, weight in zip(rule_nodes, rule_weights):
+        for node, weight in zip(_NODES, _WEIGHTS):
             sn = math.sin(asr * (1.0 + node))
             bvn += math.exp((sn * hk - hs) / (1.0 - sn * sn)) * weight
         bvn = bvn * asr / tp + _ndtr(-h) * _ndtr(-k)
@@ -79,7 +76,7 @@ def bvn_upper_tail(dh: float, dk: float, r: float) -> float:
                 bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
             a /= 2.0
             integral = 0.0
-            for node, weight in zip(rule_nodes, rule_weights):
+            for node, weight in zip(_NODES, _WEIGHTS):
                 ax = a * (1.0 + node)
                 xs = ax * ax
                 asr = -(bs / xs + hk) / 2.0

@@ -109,13 +109,7 @@ def bvn_upper_tail(dh: float, dk: float, r: float) -> float:
     if r == 0.0:
         return _ndtr(-dh) * _ndtr(-dk)
 
-    if abs(r) < 0.3:
-        nodes = 6
-    elif abs(r) < 0.75:
-        nodes = 12
-    else:
-        nodes = 20
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(20)
     x = 1.0 + x
 
     tp = 2.0 * math.pi

@@ -91,10 +91,9 @@ class TestScipyReplacements:
         assert _ndtr(-math.inf) == 0.0
         assert _ndtr(math.inf) == 1.0
 
-    @pytest.mark.parametrize("nodes", [6, 12, 20])
-    def test_legendre_rule_matches_scipy(self, nodes):
-        x, w = _GAUSS_LEGENDRE[nodes]
-        x_ref, w_ref = roots_legendre(nodes)
+    def test_legendre_rule_matches_scipy(self):
+        x, w = _GAUSS_LEGENDRE
+        x_ref, w_ref = roots_legendre(20)
         assert np.max(np.abs(np.asarray(x) - x_ref)) <= 2e-15
         assert np.max(np.abs(np.asarray(w) - w_ref)) <= 2e-15
         # Every caller shares the table, so it must be immutable.
@@ -192,10 +191,9 @@ class TestNumpyOracle:
         value = orthant_probability(model) - orthant_probability(model.mirrored())
         assert abs(value - oracle.parametric_uir_of_deltas(deltas)) <= 1e-15
 
-    @pytest.mark.parametrize("nodes", [6, 12, 20])
-    def test_node_tables_equal_leggauss(self, nodes):
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        assert _GAUSS_LEGENDRE[nodes] == (tuple(x.tolist()), tuple(w.tolist()))
+    def test_node_tables_equal_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(20)
+        assert _GAUSS_LEGENDRE == (tuple(x.tolist()), tuple(w.tolist()))
 
 
 class TestWilcoxon:
