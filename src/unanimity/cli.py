@@ -84,11 +84,12 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} below start {start}")
+    # The slack keeps rounding from dropping ``stop``; ``min`` clamps what it lets past.
     steps = (stop - start) / step + 1e-9
     # Compared as a float: a tiny step makes ``steps`` overflow to inf.
     if steps >= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return [round(start + i * step, 12) for i in range(int(steps) + 1)]
+    return [min(round(start + i * step, 12), stop) for i in range(int(steps) + 1)]
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:

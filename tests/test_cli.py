@@ -371,6 +371,13 @@ class TestSweeps:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert [r[1] for r in rows[1:4]] == ["0.000000", "0.500000", "1.000000"]
 
+    def test_grid_stops_at_its_stop(self, scores_csv, capsys):
+        # The step count's rounding slack lets the last point past 1.0 by
+        # 1e-12; it is clamped to the stop, which alpha-sweep accepts.
+        assert main(["alpha-sweep", "--scores", scores_csv, "--grid", "0:1:0.1000000000001"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[-1][1] == "1.000000"
+
     def test_threshold_sweep(self, scores_csv, capsys):
         # leading dash means the value must be attached with "="
         assert main(["threshold-sweep", "--scores", scores_csv, "--grid=-1:1:0.5"]) == 0
