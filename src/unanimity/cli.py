@@ -279,7 +279,7 @@ def _error_category(exc: Exception) -> str:
         return "parse"
     if isinstance(exc, ValidationError):
         return "validation"
-    if isinstance(exc, OSError):
+    if isinstance(exc, (OSError, UnicodeEncodeError)):
         return "io"
     return "invalid"
 
@@ -348,12 +348,14 @@ def main(argv: list[str] | None = None) -> int:
         text = args.handler(args)
         if args.output:
             _write_output(Path(args.output), text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         detail = " ".join(str(exc).split())
         print(f"error: {_error_category(exc)}: {detail}", file=sys.stderr)
         return 1
-    if not args.output:
-        sys.stdout.write(text)
+    except KeyboardInterrupt:
+        return 130
     return 0
 
 

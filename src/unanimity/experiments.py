@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
 from unanimity.stats import ImprovementCategory, _categories, parametric_uir
-from unanimity.uir import _check_pairs, _f_gain_set, _f_gains, _pair_layout
+from unanimity.uir import _f_gain_set, _f_gains, _pair_layout
 
 ALPHA_GRID_POINTS = 101
 _STEP = 10  # threshold_sweep computes every _STEP-th grid alpha's mean F first
@@ -237,10 +237,8 @@ def predictor_curves(
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")
-    # The pair budget is checked before any collection is read.
-    _check_pairs(len(reference.systems))
-    collection_means = _collection_means(collections, alpha)
     _, pairs, results = _pair_layout(reference)
+    collection_means = _collection_means(collections, alpha)
     in_target = _f_gains(collection_means, pairs)
     n_target = sum(in_target)
     if not n_target:

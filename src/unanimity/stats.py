@@ -139,11 +139,8 @@ def _null_cumulative(sizes: tuple[int, ...]) -> list[int]:
 
 def _exact_two_sided_p(sizes: tuple[int, ...], w2_min: int) -> float:
     """P(min(W+, W-) <= w2_min / 2) over all sign assignments."""
-    n = sum(sizes)
-    if 2 * w2_min >= n * (n + 1):
-        return 1.0
-    # The two tails are disjoint and, by symmetry, equally heavy.
-    return 2 * _null_cumulative(sizes)[w2_min] / 2**n
+    # The tails are equally heavy by symmetry, and overlap only at W+ = W-, where p = 1.
+    return min(1.0, 2 * _null_cumulative(sizes)[w2_min] / 2 ** sum(sizes))
 
 
 def _approx_two_sided_p(sizes: tuple[int, ...], w_min: float, n: int) -> float:
@@ -228,7 +225,7 @@ def _categories(table: ScoreTable, pairs: list, significance_level: float, ranks
             if n <= EXACT_CUTOFF and k in (0, n):
                 # Every non-zero difference has one sign, so the smaller rank
                 # sum is 0: the first cumulative null count, 1 for any ties.
-                p = 2 / 2**n if n else 1.0
+                p = min(1.0, 2 / 2**n)
             elif n > EXACT_CUTOFF and _approx_two_sided_p((), w_max, n) < settled_below:
                 # Ties only shrink the variance: the test's z is at most this one.
                 p = 0.0
@@ -309,11 +306,12 @@ def fit_bivariate_normal(deltas) -> BivariateNormalModel:
     if len(rows) < 3 or any(len(row) != 2 for row in rows):
         raise ValueError(_TOO_FEW_SAMPLES)
     delta_p, delta_r = zip(*rows)
-    return _fit(delta_p, delta_r)
+    mean_p, mean_r, c00, c01, c11 = _fit(delta_p, delta_r)
+    return BivariateNormalModel((mean_p, mean_r), ((c00, c01), (c01, c11)))
 
 
-def _fit(delta_p, delta_r) -> BivariateNormalModel:
-    """``fit_bivariate_normal`` of two equal-length float columns."""
+def _fit(delta_p, delta_r) -> tuple[float, float, float, float, float]:
+    """The moments (mean_p, mean_r, c00, c01, c11) ``fit_bivariate_normal`` fits to two columns."""
     n = len(delta_p)
     if n < 3:
         raise ValueError(_TOO_FEW_SAMPLES)
@@ -341,7 +339,7 @@ def _fit(delta_p, delta_r) -> BivariateNormalModel:
     if smallest_eigenvalue < REGULARIZATION:
         c00 += REGULARIZATION
         c11 += REGULARIZATION
-    return BivariateNormalModel((mean_p, mean_r), ((c00, c01), (c01, c11)))
+    return mean_p, mean_r, c00, c01, c11
 
 
 # Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1], written
@@ -470,5 +468,5 @@ def parametric_uir(table: ScoreTable, sys_a: str, sys_b: str) -> float:
     p_col, r_col = metric_pair_columns(table)
     delta_p = list(map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col)))
     delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
-    (mu_p, mu_r), ((v_p, _), (_, v_r)) = _fit(delta_p, delta_r)
+    mu_p, mu_r, v_p, _, v_r = _fit(delta_p, delta_r)
     return 0.5 * (math.erf(mu_p / math.sqrt(2.0 * v_p)) + math.erf(mu_r / math.sqrt(2.0 * v_r)))

@@ -24,7 +24,7 @@ import numpy as np
 
 from unanimity.data import _SCORE_MAX
 from unanimity.metrics import _check_alpha, metric_pair_columns
-from unanimity.stats import _fit, _ndtr
+from unanimity.stats import BivariateNormalModel, _fit, _ndtr
 
 # The 20-point Gauss-Legendre rule, from numpy rather than the package's table.
 _NODES, _WEIGHTS = (tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(20))
@@ -120,7 +120,8 @@ def _difference_model(table, sys_a: str, sys_b: str):
     p_col, r_col = metric_pair_columns(table)
     delta_p = list(map(sub, table.scores_for(sys_a, p_col), table.scores_for(sys_b, p_col)))
     delta_r = list(map(sub, table.scores_for(sys_a, r_col), table.scores_for(sys_b, r_col)))
-    return _fit(delta_p, delta_r)
+    mean_p, mean_r, c00, c01, c11 = _fit(delta_p, delta_r)
+    return BivariateNormalModel((mean_p, mean_r), ((c00, c01), (c01, c11)))
 
 
 def parametric_uir(table, sys_a: str, sys_b: str) -> float:

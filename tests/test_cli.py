@@ -359,6 +359,50 @@ class TestRank:
         assert stale.read_text(encoding="utf-8") == "partial"
 
 
+class TestUnplannedExits:
+    def test_stdout_that_cannot_encode_the_report_is_an_io_error(self, tmp_path):
+        # Incomparable on every case, so rank prints no warning either.
+        table = make_table({"sé": [(0.5, 0.6), (0.6, 0.5)], "b": [(0.6, 0.5), (0.5, 0.6)]})
+        path = tmp_path / "accented.csv"
+        path.write_text(serialize_score_table(table), encoding="utf-8")
+        env = dict(
+            os.environ,
+            PYTHONIOENCODING="ascii",
+            PYTHONPATH=str(Path(unanimity.__file__).parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "unanimity.cli", "rank", "--scores", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        [line] = proc.stderr.decode("ascii").splitlines()
+        assert line.startswith("error: io: 'ascii' codec can't encode character '\\xe9'")
+
+    @pytest.mark.parametrize("target", ["unanimity.cli.parse_score_table", "os.replace"])
+    def test_interrupt_exits_130_and_keeps_the_output(
+        self, scores_csv, tmp_path, capsys, monkeypatch, target
+    ):
+        report = tmp_path / "report.csv"
+        report.write_text("old report\n", encoding="utf-8")
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # Interrupted while reading the input, or while replacing the report.
+        monkeypatch.setattr(target, interrupt)
+        try:
+            status = main(["rank", "--scores", scores_csv, "--output", str(report)])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert status == 130
+        assert capsys.readouterr() == ("", "")
+        assert report.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "report.csv"]
+
+
 class TestSweeps:
     def test_alpha_sweep_default_grid(self, scores_csv, capsys):
         assert main(["alpha-sweep", "--scores", scores_csv]) == 0

@@ -247,6 +247,10 @@ class TestOnePackingPerSweep:
             threshold_sweep(table, [0.0])
         with pytest.raises(ValueError, match="ordered pairs"):
             predictor_curves(table, [table, table], [0.0])
+        # The budget refusal comes before the collections' system sets are compared.
+        other = ScoreTable.from_rows("u", [("c", f"x{j}", m, 0.5) for j in range(2) for m in ("p", "r")])
+        with pytest.raises(ValueError, match="ordered pairs"):
+            predictor_curves(table, [table, other], [0.0])
         assert packings == []
 
     @pytest.fixture

@@ -22,6 +22,7 @@ from unanimity.data import ScoreTable
 from unanimity.stats import (
     EXACT_CUTOFF,
     _SLOT_BITS,
+    BivariateNormalModel,
     _fit,
     _null_cumulative,
     _rank_sums,
@@ -241,8 +242,10 @@ class TestFit:
         expected = oracle.fit_bivariate_normal(rows)
         delta_p = [p for p, _ in rows]
         delta_r = [r for _, r in rows]
+        mean_p, mean_r, c00, c01, c11 = _fit(delta_p, delta_r)
+        model = BivariateNormalModel((mean_p, mean_r), ((c00, c01), (c01, c11)))
         # repr tells -0.0 from 0.0, which == does not.
-        assert repr(_fit(delta_p, delta_r)) == repr(expected)
+        assert repr(model) == repr(expected)
         assert repr(fit_bivariate_normal(rows)) == repr(expected)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
