@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: {_error_category(exc)}: {detail}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         return 130
     return 0

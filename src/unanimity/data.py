@@ -172,8 +172,8 @@ def parse_clustering(source: str | TextIO) -> Clustering:
     return Clustering._of(memberships)
 
 
-# parse_clustering checks and files this many lines at once.  A file that
-# fails a check is read again line by line, which names its first bad line.
+# Both parsers check and file this many lines at once.  A file that fails
+# a check is read again line by line, which names its first bad line.
 _BLOCK_LINES = 512
 
 
@@ -324,55 +324,66 @@ class MetricVector(_Value):
 
 
 Column = tuple[float, ...]
+_Columns = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], dict[tuple[str, str], Column]]
+
+
+def _filed_columns(blocks: Iterable[Iterable[Sequence]], percent: bool = False) -> _Columns | None:
+    """The one filer behind every ``ScoreTable``: dense columns from blocks of
+    ``(cases, systems, metrics, scores)``, each checked whole, or None on any
+    error, one from ``blocks`` too.  A duplicate or missing score shows in the counts."""
+    cases, filed, n = {}, defaultdict(dict), 0
+    try:
+        for block_cases, systems, metrics, scores in blocks:
+            scores = [float(s) / 100.0 for s in scores] if percent else list(map(float, scores))
+            # The sum is NaN where any score is.
+            if not (0.0 <= min(scores) and max(scores) <= _SCORE_MAX and 0.0 <= sum(scores)):
+                return None
+            for case, key, score in zip(block_cases, zip(systems, metrics), scores):
+                filed[key][case] = score
+            cases.update(dict.fromkeys(block_cases))
+            n += len(scores)
+        systems, metrics = map(dict.fromkeys, zip(*filed))
+        for kind, ids in ("test case id", cases), ("system id", systems), ("metric id", metrics):
+            _check_ids(kind, ids)
+    except (ValueError, TypeError, AttributeError, csv.Error):
+        return None
+    # n rows fill every cell only when none repeats one.
+    if not n == sum(map(len, filed.values())) == len(cases) * len(systems) * len(metrics) > 0:
+        return None
+    columns = {(s, m): tuple(map(filed[s, m].__getitem__, cases)) for s in systems for m in metrics}
+    return tuple(cases), tuple(systems), tuple(metrics), columns
 
 
 def _build_columns(
     rows: Iterable[tuple[int | None, str, str, str, float]],
     error: Callable[[str, int | None], ValueError] = lambda msg, line: ValidationError(msg),
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], dict[tuple[str, str], Column]]:
-    """Index ``(line, case, system, metric, value)`` rows into dense columns.
-
-    The one validated builder behind every way of making a ``ScoreTable``.
-    Cases, systems and metrics keep first-appearance order.  An empty name,
-    a score outside [0, 1], a duplicate, an id ``_check_ids`` refuses and a
-    missing score are raised as ``error(message, line)``.  Returns (cases,
-    systems, metrics, columns), with one tuple of scores in case order per
-    (system, metric).
-    """
-    cases: dict[str, None] = {}
-    metrics: dict[str, None] = {}
-    filed: dict[tuple[str, str], dict[str, float]] = {}
+) -> NoReturn:
+    """Raise, as ``error(message, line)``, the first error in ``(line, case,
+    system, metric, value)`` rows that ``_filed_columns`` refused."""
+    cases, systems, metrics, seen = {}, {}, {}, set()
     for line, case, system, metric, value in rows:
         if not case or not system or not metric:
             raise error("empty test_case, system or metric field", line)
         value = float(value)
         if not 0.0 <= value <= _SCORE_MAX:
             raise error(f"score {value} outside [0, 1] for ({case}, {system}, {metric})", line)
-        column = filed.get((system, metric))
-        if column is None:
-            column = filed[system, metric] = {}
-            metrics[metric] = None
-        elif case in column:
+        if (case, system, metric) in seen:
             raise error(f"duplicate score for ({case}, {system}, {metric})", line)
-        column[case] = value
-        cases[case] = None
-    if not filed:
+        seen.add((case, system, metric))
+        cases[case] = systems[system] = metrics[metric] = None
+    if not seen:
         raise error("no scores", None)
-    systems = dict.fromkeys(system for system, _ in filed)
     for kind, ids in ("test case id", cases), ("system id", systems), ("metric id", metrics):
         _check_ids(kind, ids, lambda message: error(message, None))
-    # Duplicates are rejected above, so a short count means a missing score.
-    if sum(map(len, filed.values())) != len(cases) * len(systems) * len(metrics):
-        missing = next(
-            (c, s, m)
-            for c, s, m in itertools.product(cases, systems, metrics)
-            if c not in filed.get((s, m), ())
-        )
-        raise error("missing score for ({}, {}, {})".format(*missing), None)
-    columns = {
-        (s, m): tuple(map(filed[s, m].__getitem__, cases)) for s in systems for m in metrics
-    }
-    return tuple(cases), tuple(systems), tuple(metrics), columns
+    # Rows that pass every check above were refused for a short count.
+    missing = next(key for key in itertools.product(cases, systems, metrics) if key not in seen)
+    raise error("missing score for ({}, {}, {})".format(*missing), None)
+
+
+def _row_columns(rows: list[tuple[str, str, str, float]]) -> _Columns:
+    """The rows filed as one block, transposed inside the filer's checks."""
+    blocks = (zip(*block, strict=True) for block in [rows])
+    return _filed_columns(blocks) or _build_columns((None, *row) for row in rows)
 
 
 class ScoreTable(_Value):
@@ -418,10 +429,10 @@ class ScoreTable(_Value):
                         f"metric names differ in cell ({case}, {system}): "
                         f"{vector.names} vs {names}"
                     )
-                rows += [(None, case, system, *score) for score in vector.scores.items()]
+                rows += [(case, system, *score) for score in vector.scores.items()]
         if len(cells) != len(cases) * len(systems):
             raise ValidationError("score table has cells outside cases x systems")
-        self._set(collection_id, *_build_columns(rows))
+        self._set(collection_id, *_row_columns(rows))
 
     def _set(self, collection_id, cases, systems, metric_names, columns) -> None:
         self.__dict__.update(
@@ -448,7 +459,7 @@ class ScoreTable(_Value):
         """Build a table from (case, system, metric, value) tuples, in
         first-appearance order.  A duplicate, missing or out-of-range score
         raises ``ValidationError``."""
-        return cls._of(collection_id, *_build_columns((None, *row) for row in rows))
+        return cls._of(collection_id, *_row_columns(list(rows)))
 
     def cell(self, case: str, system: str) -> MetricVector:
         i = self._case_index.get(case)
@@ -493,13 +504,49 @@ def parse_score_table(
     With ``percent=True`` scores are divided by 100 on ingest.  Scores outside
     [0, 1] after rescaling are rejected.
     """
-    rows = csv.reader(_read_lines(source))
-    try:
-        columns = _build_columns(_score_rows(rows, percent), ParseError)
-    except csv.Error as exc:
-        # Such as a field longer than csv.field_size_limit().
-        raise ParseError(str(exc), line=rows.line_num) from None
+    lines = _read_lines(source)
+    columns = _filed_columns(_score_blocks(lines), percent)
+    if columns is None:
+        rows = csv.reader(lines)
+        try:
+            _build_columns(_score_rows(rows, percent), ParseError)
+        except csv.Error as exc:
+            # Such as a field longer than csv.field_size_limit().
+            raise ParseError(str(exc), line=rows.line_num) from None
     return ScoreTable._of(collection_id, *columns)
+
+
+def _score_blocks(lines: list[str]) -> Iterator[list[list[str]]]:
+    """The rows' ``(cases, systems, metrics, scores)`` fields, a block of
+    lines at a time; ValueError or csv.Error where ``_score_rows`` raises.
+    Lines are split at commas until a block holds a quote, a NUL, a blank
+    line or a line longer than a csv field may be; ``csv`` reads the rest."""
+    limit, records = csv.field_size_limit(), None
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        if records is None:
+            text = ",\n".join(block)
+            if '"' in text or "\0" in text or "" in block or max(map(len, block)) > limit:
+                records, taken = csv.reader(itertools.islice(lines, start, None)), 0
+        if records is None:
+            fields = text.split(",")
+            # Each "\n" starts a field: 4 to a line when just every fourth does.
+            if len(fields) != 4 * len(block) or "".join(fields[::4]).count("\n") != len(block) - 1:
+                raise ValueError
+        else:
+            rows = list(itertools.islice(records, len(block)))
+            taken += len(rows)
+            # A record that read past its own line has a quoted line break.
+            if records.line_num != taken or not set(map(len, rows)) <= {0, 4}:
+                raise ValueError
+            fields = list(itertools.chain.from_iterable(rows))
+        fields = list(map(str.strip, fields))
+        if start == 0:
+            if not lines[0] or fields[:4] != list(SCORE_HEADER):
+                raise ValueError
+            del fields[:4]
+        if fields:
+            yield [fields[::4], fields[1::4], fields[2::4], fields[3::4]]
 
 
 def _score_rows(rows, percent: bool) -> Iterator[tuple[int, str, str, str, float]]:

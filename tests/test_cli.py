@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import unanimity
 from unanimity.cli import MAX_GRID_POINTS, _parse_grid, main
 from unanimity.data import parse_score_table, serialize_score_table
 
+import budget
 from conftest import make_table, two_system_table
 
 
@@ -380,6 +382,54 @@ class TestUnplannedExits:
         assert proc.stdout == b""
         [line] = proc.stderr.decode("ascii").splitlines()
         assert line.startswith("error: io: 'ascii' codec can't encode character '\\xe9'")
+
+    @staticmethod
+    def limited_child(argv, limit, size, cwd):
+        """Run the CLI as a child whose ``limit`` resource is ``size``."""
+
+        def set_limit():
+            resource.setrlimit(limit, (size, size))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(unanimity.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "unanimity.cli", *argv],
+            capture_output=True,
+            env=env,
+            cwd=cwd,
+            preexec_fn=set_limit,
+            timeout=120,
+        )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="address-space limits as Linux sets them")
+    def test_out_of_memory_is_one_categorized_line(self, scores_csv, tmp_path):
+        # rank on the 1000-system table of tests/budget.py peaks near 107 MB;
+        # the same command on a small table fits the limit.
+        limit = 90 << 20
+        small = self.limited_child(["rank", "--scores", scores_csv], resource.RLIMIT_AS, limit, tmp_path)
+        assert small.returncode == 0, small.stderr
+        budget.write_table(tmp_path / "large.csv", 0)
+        report = tmp_path / "report.csv"
+        report.write_text("old report\n", encoding="utf-8")
+        argv = ["rank", "--scores", "large.csv", "--output", "report.csv"]
+        for args in argv[:3], argv:
+            proc = self.limited_child(args, resource.RLIMIT_AS, limit, tmp_path)
+            assert proc.returncode == 1
+            assert proc.stdout == b""
+            assert proc.stderr.decode("utf-8").splitlines() == ["error: memory: out of memory"]
+        assert report.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "large.csv", "report.csv"]
+
+    def test_file_size_limit_on_output_is_an_io_error(self, scores_csv, tmp_path):
+        # About 2 x 10,001 rows of output, past a 100,000-byte limit.
+        report = tmp_path / "report.csv"
+        report.write_text("old report\n", encoding="utf-8")
+        argv = ["alpha-sweep", "--scores", scores_csv, "--grid", "0:1:0.0001", "--output", "report.csv"]
+        proc = self.limited_child(argv, resource.RLIMIT_FSIZE, 100_000, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode("utf-8").splitlines() == ["error: io: [Errno 27] File too large"]
+        assert report.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "report.csv"]
 
     @pytest.mark.parametrize("target", ["unanimity.cli.parse_score_table", "os.replace"])
     def test_interrupt_exits_130_and_keeps_the_output(
