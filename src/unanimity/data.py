@@ -163,9 +163,7 @@ def parse_clustering(source: str | TextIO) -> Clustering:
     number.
     """
     lines = _read_lines(source)
-    memberships = _filed_memberships(lines)
-    if memberships is None:
-        _membership_walk(lines)
+    memberships = _filed_memberships(lines) or _membership_walk(lines)
     # Freeze in place, so each parse-time set is freed as soon as it is copied.
     for label, members in memberships.items():
         memberships[label] = frozenset(members)
@@ -382,8 +380,7 @@ def _build_columns(
 
 def _row_columns(rows: list[tuple[str, str, str, float]]) -> _Columns:
     """The rows filed as one block, transposed inside the filer's checks."""
-    blocks = (zip(*block, strict=True) for block in [rows])
-    return _filed_columns(blocks) or _build_columns((None, *row) for row in rows)
+    return _filed_columns([zip(*rows, strict=True)]) or _build_columns((None, *row) for row in rows)
 
 
 class ScoreTable(_Value):
@@ -505,41 +502,34 @@ def parse_score_table(
     [0, 1] after rescaling are rejected.
     """
     lines = _read_lines(source)
-    columns = _filed_columns(_score_blocks(lines), percent)
-    if columns is None:
-        rows = csv.reader(lines)
-        try:
-            _build_columns(_score_rows(rows, percent), ParseError)
-        except csv.Error as exc:
-            # Such as a field longer than csv.field_size_limit().
-            raise ParseError(str(exc), line=rows.line_num) from None
+    columns = _filed_columns(_score_blocks(lines), percent) or _build_columns(
+        _score_rows(lines, percent), ParseError
+    )
     return ScoreTable._of(collection_id, *columns)
 
 
 def _score_blocks(lines: list[str]) -> Iterator[list[list[str]]]:
     """The rows' ``(cases, systems, metrics, scores)`` fields, a block of
     lines at a time; ValueError or csv.Error where ``_score_rows`` raises.
-    Lines are split at commas until a block holds a quote, a NUL, a blank
-    line or a line longer than a csv field may be; ``csv`` reads the rest."""
-    limit, records = csv.field_size_limit(), None
+    A block is split at its commas, or read by ``csv`` on its own when it
+    holds a quote, a NUL, a blank line or a line longer than a csv field may be."""
+    limit = csv.field_size_limit()
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
-        if records is None:
-            text = ",\n".join(block)
-            if '"' in text or "\0" in text or "" in block or max(map(len, block)) > limit:
-                records, taken = csv.reader(itertools.islice(lines, start, None)), 0
-        if records is None:
+        text = ",\n".join(block)
+        if '"' in text or "\0" in text or "" in block or max(map(len, block)) > limit:
+            # A record that reads past its own line, into the line after the
+            # block too, has a quoted line break.
+            records = csv.reader(lines[start : start + len(block) + 1])
+            rows = list(itertools.islice(records, len(block)))
+            if records.line_num != len(rows) or not set(map(len, rows)) <= {0, 4}:
+                raise ValueError
+            fields = list(itertools.chain.from_iterable(rows))
+        else:
             fields = text.split(",")
             # Each "\n" starts a field: 4 to a line when just every fourth does.
             if len(fields) != 4 * len(block) or "".join(fields[::4]).count("\n") != len(block) - 1:
                 raise ValueError
-        else:
-            rows = list(itertools.islice(records, len(block)))
-            taken += len(rows)
-            # A record that read past its own line has a quoted line break.
-            if records.line_num != taken or not set(map(len, rows)) <= {0, 4}:
-                raise ValueError
-            fields = list(itertools.chain.from_iterable(rows))
         fields = list(map(str.strip, fields))
         if start == 0:
             if not lines[0] or fields[:4] != list(SCORE_HEADER):
@@ -549,33 +539,34 @@ def _score_blocks(lines: list[str]) -> Iterator[list[list[str]]]:
             yield [fields[::4], fields[1::4], fields[2::4], fields[3::4]]
 
 
-def _score_rows(rows, percent: bool) -> Iterator[tuple[int, str, str, str, float]]:
-    """The ``(line, case, system, metric, score)`` records after a checked header."""
-    header = next(rows, None)
-    if header is None:
+def _score_rows(lines: list[str], percent: bool) -> Iterator[tuple[int, str, str, str, float]]:
+    """The ``(line, case, system, metric, score)`` records of the lines, read
+    by ``csv`` after a checked header."""
+    if not lines:
         raise ParseError("empty score file")
-    if rows.line_num != 1:
-        raise ParseError(_SPANS_LINES, line=1)
-    header = tuple(map(str.strip, header))
-    if header != SCORE_HEADER:
-        raise ParseError(
-            f"expected header {','.join(SCORE_HEADER)}, got {','.join(header)}",
-            line=1,
-        )
-    for lineno, row in enumerate(rows, start=2):
-        # A record that read past its own line has a quoted line break.
-        if rows.line_num != lineno:
-            raise ParseError(_SPANS_LINES, line=lineno)
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        case, system, metric, text = map(str.strip, row)
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"bad score {text!r}", line=lineno) from None
-        yield lineno, case, system, metric, value / 100.0 if percent else value
+    rows = csv.reader(lines)
+    try:
+        for lineno, row in enumerate(rows, start=1):
+            # A record that read past its own line has a quoted line break.
+            if rows.line_num != lineno:
+                raise ParseError(_SPANS_LINES, line=lineno)
+            row = tuple(map(str.strip, row))
+            if lineno == 1 and row != SCORE_HEADER:
+                header = ",".join(SCORE_HEADER)
+                raise ParseError(f"expected header {header}, got {','.join(row)}", line=1)
+            if lineno == 1 or not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+            case, system, metric, text = row
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"bad score {text!r}", line=lineno) from None
+            yield lineno, case, system, metric, value / 100.0 if percent else value
+    except csv.Error as exc:
+        # Such as a field longer than csv.field_size_limit().
+        raise ParseError(str(exc), line=rows.line_num) from None
 
 
 def _csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:

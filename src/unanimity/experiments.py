@@ -194,14 +194,17 @@ def gold_consistent_pairs(tables: Sequence[ScoreTable], alpha: float = 0.5) -> s
 
 
 def _collection_means(tables: Sequence[ScoreTable], alpha: float) -> list[dict[str, float]]:
-    """Each table's mean F per system, once the tables share one system set."""
+    """Each table's mean F per system, once the tables share one system set and metric pair."""
     if len(tables) < 2:
         raise ValueError("need at least 2 collections")
     base = set(tables[0].systems)
     for table in tables[1:]:
         if set(table.systems) != base:
             raise ValueError("system sets differ across collections")
-    return [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
+    means = [{s: mean_f_measure(table, s, alpha) for s in table.systems} for table in tables]
+    if any(table.metric_names != tables[0].metric_names for table in tables):
+        raise ValueError("metric names differ across collections")
+    return means
 
 
 class Predictor(str, Enum):

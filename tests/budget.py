@@ -1,13 +1,14 @@
-"""Memory budget of ``rank``, ``threshold-sweep`` and ``predict`` at the end
-of the pair budget.
+"""Memory budget of ``rank``, ``threshold-sweep``, ``predict`` and
+``alpha-sweep`` at the end of the pair budget.
 
 Writes three seeded 1000-system x 20-case score tables (two metrics, random
 scores in steps of 0.001) and runs, each as a child process of
-``python -m unanimity.cli``: ``rank`` and ``threshold-sweep`` on the first
-table, and ``predict`` with the first as reference over all three.  For
-each it prints the child's wall time, its own peak resident memory
-(``ru_maxrss`` from ``os.wait4``) and the sha256 of its stdout.  Exits 1
-when a child fails or its peak is above its budget in ``PEAK_MB``.
+``python -m unanimity.cli``: ``rank``, ``threshold-sweep`` and a 1001-point
+``alpha-sweep`` on the first table, and ``predict`` with the first as
+reference over all three.  For each it prints the child's wall time, its
+own peak resident memory (``ru_maxrss`` from ``os.wait4``) and the sha256
+of its stdout.  Exits 1 when a child fails or its peak is above its budget
+in ``PEAK_MB``.
 
 Standard library only; the package must be importable by this interpreter:
 
@@ -26,7 +27,7 @@ from pathlib import Path
 SYSTEMS = 1000
 CASES = 20
 SEEDS = (0, 1, 2)
-PEAK_MB = {"rank": 160, "threshold-sweep": 180, "predict": 138}
+PEAK_MB = {"rank": 160, "threshold-sweep": 180, "predict": 138, "alpha-sweep": 130}
 
 
 def write_table(path: Path, seed: int) -> None:
@@ -66,6 +67,7 @@ def main() -> int:
             "rank": ["rank", "--scores", tables[0]],
             "threshold-sweep": ["threshold-sweep", "--scores", tables[0]],
             "predict": ["predict", "--reference", tables[0], "--collections", *tables],
+            "alpha-sweep": ["alpha-sweep", "--scores", tables[0], "--grid", "0:1:0.001"],
         }
         for command, args in commands.items():
             argv = [sys.executable, "-m", "unanimity.cli", *args]

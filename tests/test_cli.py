@@ -604,6 +604,20 @@ class TestPredict:
         assert run(a, b, a, c) == run(a, a, b, c)
         assert run(str(tmp_path / "b" / "." / "x.csv"), a, b, c) == run(b, b, a, c)
 
+    def test_metric_names_differ_across_collections(self, tmp_path, capsys):
+        scores = {s: [(0.1 * (i + 1), 0.1 * (j + 1)) for j in range(5)] for i, s in enumerate("abc")}
+        paths = []
+        for name, metrics in (
+            ("m1", ("purity", "inverse_purity")),
+            ("m2", ("bcubed_precision", "bcubed_recall")),
+        ):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(serialize_score_table(make_table(scores, metrics=metrics)), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["predict", "--reference", paths[0], "--collections", *paths, "--grid=0:1:0.5"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", "error: invalid: metric names differ across collections\n")
+
 
 def run_cli(capsys, argv):
     code = main(argv)

@@ -247,6 +247,18 @@ class TestGoldConsistentPairs:
         with pytest.raises(ValueError, match="differ"):
             gold_consistent_pairs(tables)
 
+    def test_mismatched_metric_names_rejected(self):
+        """Mean F over one metric pair is not compared with mean F over
+        another, nor over the same pair in the other order."""
+        tables = chain_collections()
+        scores = {"x": [(0.9, 0.8)], "y": [(0.6, 0.5)], "z": [(0.3, 0.2)]}
+        for metrics in (("bcubed_precision", "bcubed_recall"), ("recall", "precision")):
+            tables[1] = make_table(scores, metrics=metrics, collection_id="col1")
+            with pytest.raises(ValueError, match="^metric names differ across collections$"):
+                gold_consistent_pairs(tables)
+            with pytest.raises(ValueError, match="^metric names differ across collections$"):
+                predictor_curves(tables[0], tables, [0.0])
+
 
 class TestPredictorCurves:
     def test_hand_checked_chain(self):

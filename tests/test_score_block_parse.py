@@ -163,6 +163,10 @@ class TestEdges:
             HEADER + "\nc,s,m,100\n",
             HEADER + "\nc,s,m," + "1" * 131073 + "\n",
             HEADER + "\nc,s,m,0.5,\n",
+            HEADER + '\n"c",s,m,0.5\nd,s,m,0.5\ne,s,m,0.5\nf,s,m,0.5\ng,s,m,0.5\n',  # plain blocks after a quote
+            # Line 6 ends a middle block at sizes 1 to 3; its quote closes on
+            # line 7, and each line alone reads as a valid row.
+            "\n".join([HEADER, *(f"c{i},s,m,0.5" for i in range(4)), 'd,s,m,"0.5', 'x",s,m,0.5', "e,s,m,0.5"]),
         ],
     )
     @pytest.mark.parametrize("percent", [False, True])
@@ -221,6 +225,25 @@ def budget_text(rng, systems=1000, cases=20):
 
 
 class TestValidFilesStayInBlocks:
+    def test_each_csv_reader_reads_one_block(self):
+        """A quote in the first block sends that block alone to ``csv``; the
+        line after it is the one more a reader may see."""
+        lines = [HEADER] + [f"c{i // 2},{'st'[i % 2]},m,0.5" for i in range(2000)]
+        lines[2] = lines[2].replace(",t,", ',"t",')
+        text = "\n".join(lines) + "\n"
+        expected = outcome(parse_oracle.parse_score_table, text)
+        reader, given = csv.reader, []
+
+        def spy(rows, *args, **kwargs):
+            rows = list(rows)
+            given.append(len(rows))
+            return reader(rows, *args, **kwargs)
+
+        with no_walk(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data.csv, "reader", spy)
+            assert outcome(parse_score_table, text) == expected
+        assert given and max(given) <= data._BLOCK_LINES + 1, given
+
     def test_committed_inputs(self):
         for path in sorted(DATA.glob("*.csv")):
             parsed_in_blocks(path.read_text(encoding="utf-8"))
@@ -321,6 +344,15 @@ def test_constructor_equals_the_oracle_walk(cases, systems, metrics, values):
     }
     got, expected = row_outcome(ScoreTable, "k", cases, systems, cells)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[("a", "s", "p")], [("a", "s", "p", 0.5), ("b", "s", "p")], [("a", "s", "p"), ("a", "t", "p", 0.5)]],
+)
+def test_a_three_field_row_raises_as_the_walk_does(rows):
+    got, expected = row_outcome(ScoreTable.from_rows, "r", rows)
+    assert got == expected == (ValueError, "not enough values to unpack (expected 5, got 4)", None)
 
 
 def test_valid_rows_stay_in_one_block():
