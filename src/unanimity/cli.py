@@ -350,7 +350,11 @@ def main(argv: list[str] | None = None) -> int:
             _write_output(Path(args.output), text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: what stdout still buffers is dropped at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         detail = " ".join(str(exc).split())
         print(f"error: {_error_category(exc)}: {detail}", file=sys.stderr)
         return 1

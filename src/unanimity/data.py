@@ -80,6 +80,13 @@ class _Value:
         shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
         return f"{type(self).__qualname__}({shown})"
 
+    @classmethod
+    def _of(cls, *fields):
+        """Wrap fields, in ``_compared`` order, that the caller has already checked."""
+        value = cls.__new__(cls)
+        value.__dict__.update(zip(cls._compared, fields, strict=True))
+        return value
+
 
 class Clustering(_Value):
     """A labeled family of non-empty item sets.
@@ -97,19 +104,14 @@ class Clustering(_Value):
         for label, members in clusters.items():
             if not label:
                 raise ValueError("empty cluster label")
+            if label.startswith("#") or any(c in label for c in "\t\n\r"):
+                raise ValueError(f"cluster label {label!r} starts with '#' or holds a tab, CR or LF")
             members = frozenset(members)
             if not members:
                 raise ValueError(f"cluster {label!r} is empty")
             _check_items(list(members))
             frozen[label] = members
         self.__dict__["clusters"] = frozen
-
-    @classmethod
-    def _of(cls, clusters: dict[str, frozenset[str]]) -> "Clustering":
-        """Wrap clusters whose labels and items the caller has already checked."""
-        clustering = cls.__new__(cls)
-        clustering.__dict__["clusters"] = clusters
-        return clustering
 
     @cached_property
     def n(self) -> int:
@@ -158,9 +160,9 @@ def _read_lines(source: str | TextIO) -> list[str]:
 def parse_clustering(source: str | TextIO) -> Clustering:
     """Read a TSV membership file, one ``<cluster_label>\\t<item_id>`` per line.
 
-    Lines starting with ``#`` are comments.  Labels are kept verbatim.
-    Malformed lines and duplicate memberships are rejected with their line
-    number.
+    Lines starting with ``#`` are comments.  Labels are kept verbatim; none
+    starts with ``#`` or holds a tab, CR or LF.  Malformed lines and duplicate
+    memberships are rejected with their line number.
     """
     lines = _read_lines(source)
     memberships = _filed_memberships(lines) or _membership_walk(lines)
@@ -390,7 +392,7 @@ class ScoreTable(_Value):
     order; a cell's ``MetricVector`` is built only when ``cell()`` asks for
     it.  The constructor takes one metric vector per (case, system) cell.
     Equality compares the shown fields and the columns; the case index
-    derives from them.
+    derives from the cases on first use.
     """
 
     _shown = ("collection_id", "cases", "systems", "metric_names")
@@ -400,7 +402,6 @@ class ScoreTable(_Value):
     systems: tuple[str, ...]
     metric_names: tuple[str, ...]
     _columns: Mapping[tuple[str, str], Column]
-    _case_index: Mapping[str, int]
 
     def __init__(
         self,
@@ -429,23 +430,7 @@ class ScoreTable(_Value):
                 rows += [(case, system, *score) for score in vector.scores.items()]
         if len(cells) != len(cases) * len(systems):
             raise ValidationError("score table has cells outside cases x systems")
-        self._set(collection_id, *_row_columns(rows))
-
-    def _set(self, collection_id, cases, systems, metric_names, columns) -> None:
-        self.__dict__.update(
-            collection_id=collection_id,
-            cases=cases,
-            systems=systems,
-            metric_names=metric_names,
-            _columns=columns,
-            _case_index={case: i for i, case in enumerate(cases)},
-        )
-
-    @classmethod
-    def _of(cls, collection_id, cases, systems, metric_names, columns) -> "ScoreTable":
-        table = cls.__new__(cls)
-        table._set(collection_id, cases, systems, metric_names, columns)
-        return table
+        self.__dict__.update(vars(ScoreTable.from_rows(collection_id, rows)))
 
     @classmethod
     def from_rows(
@@ -458,11 +443,15 @@ class ScoreTable(_Value):
         raises ``ValidationError``."""
         return cls._of(collection_id, *_row_columns(list(rows)))
 
+    @cached_property
+    def _case_index(self) -> dict[str, int]:
+        return {case: i for i, case in enumerate(self.cases)}
+
     def cell(self, case: str, system: str) -> MetricVector:
         i = self._case_index.get(case)
         if i is None or (system, self.metric_names[0]) not in self._columns:
             raise ValueError(f"unknown cell ({case}, {system})")
-        return MetricVector({m: self._columns[system, m][i] for m in self.metric_names})
+        return MetricVector._of({m: self._columns[system, m][i] for m in self.metric_names})
 
     def check_system(self, system: str) -> None:
         if (system, self.metric_names[0]) not in self._columns:

@@ -342,24 +342,15 @@ def _fit(delta_p, delta_r) -> tuple[float, float, float, float, float]:
     return mean_p, mean_r, c00, c01, c11
 
 
-# Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1], written
-# as the exact doubles that the reference ``leggauss`` routine returns.
-_GAUSS_LEGENDRE = (
-    (-0.993128599185095, -0.9639719272779138, -0.912234428251326,
-     -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
-     -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
-     -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
-     0.37370608871541955, 0.5108670019508271, 0.636053680726515,
-     0.7463319064601508, 0.8391169718222188, 0.912234428251326,
-     0.9639719272779138, 0.993128599185095),
-    (0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
-     0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
-     0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
-     0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
-     0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
-     0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
-     0.040601429800386446, 0.017614007139150893),
-)
+# The 20-point Gauss-Legendre rule on [-1, 1], as the exact doubles that the
+# reference ``leggauss`` routine returns.  It is symmetric: its positive half is kept.
+_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+          0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+          0.9639719272779138, 0.993128599185095)
+_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+            0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+            0.040601429800386446, 0.017614007139150893)
+_GAUSS_LEGENDRE = ((*map(neg, reversed(_NODES)), *_NODES), (*reversed(_WEIGHTS), *_WEIGHTS))
 
 
 # Bounds past this count as infinite: the tails they cut off are below the

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import parse_oracle
 import unanimity.data as data
-from unanimity.data import ParseError, parse_clustering, serialize_clustering
+from unanimity.data import ParseError, parse_clustering
 
 DATA = Path(__file__).resolve().parent / "data"
 BLOCKS = [1, 2, 3, data._BLOCK_LINES]
@@ -143,9 +143,11 @@ class TestValidFilesStayInBlocks:
     @given(st.randoms(use_true_random=False))
     def test_serialized_values(self, rng):
         # Labels starting with "#" are written as comment lines, whole
-        # blocks of them.
+        # blocks of them, in the canonical order of serialize_clustering.
         clusters = {f"#{j}" if j else "c": [f"i{rng.randrange(2000)}" for _ in range(40)] for j in range(30)}
-        clustering = serialize_clustering(data.Clustering(clusters))
+        clustering = "".join(
+            f"{label}\t{item}\n" for label in sorted(clusters) for item in sorted(set(clusters[label]))
+        )
 
         def check():
             with no_walk():

@@ -431,6 +431,30 @@ class TestUnplannedExits:
         assert report.read_bytes() == b"old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "report.csv"]
 
+    # A report that fits stdout's buffer, written only at exit, and one that
+    # does not, written while the command runs.
+    @pytest.mark.parametrize(
+        "argv", [["compare", "--a", "A", "--b", "B"], ["alpha-sweep", "--grid", "0:1:0.0001"]]
+    )
+    def test_closed_stdout_pipe_is_an_io_error(self, scores_csv, argv):
+        # Without PYTHONUNBUFFERED, stdout is block-buffered as it is for users.
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(unanimity.__file__).parents[1])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "unanimity.cli", argv[0], "--scores", scores_csv, *argv[1:]],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr.decode("utf-8").splitlines() == ["error: io: [Errno 32] Broken pipe"]
+
     @pytest.mark.parametrize("target", ["unanimity.cli.parse_score_table", "os.replace"])
     def test_interrupt_exits_130_and_keeps_the_output(
         self, scores_csv, tmp_path, capsys, monkeypatch, target

@@ -25,6 +25,8 @@ from unanimity import (
     UirResult,
     ValidationReport,
     WilcoxonResult,
+    parse_score_table,
+    serialize_score_table,
 )
 
 ROWS = [("q1", "A", "p", 0.5), ("q1", "A", "r", 0.25), ("q1", "B", "p", 1.0), ("q1", "B", "r", 0.0)]
@@ -202,6 +204,54 @@ def test_score_table_equality_ignores_derived_index():
     vars(other)["_system_set"] = frozenset()
     assert table == other
     assert table != ScoreTable.from_rows("other", ROWS)
+
+
+# Each way a table is built: the checking constructor, the row builder, the
+# parser, a metric selection and the trusted constructor.
+TABLE_BUILDS = {
+    "constructor": lambda: ScoreTable(
+        "col",
+        ["q1", "q2"],
+        ["A", "B"],
+        {
+            (case, system): MetricVector({"p": 0.5 * i, "r": 0.25 * j})
+            for i, case in enumerate(["q1", "q2"])
+            for j, system in enumerate(["A", "B"])
+        },
+    ),
+    "from_rows": lambda: ScoreTable.from_rows("col", ROWS),
+    "parse": lambda: parse_score_table(serialize_score_table(ScoreTable.from_rows("", ROWS))),
+    "select_metrics": lambda: ScoreTable.from_rows("col", ROWS).select_metrics(["r", "p"]),
+    "_of": lambda: ScoreTable._of("col", ("q1",), ("A",), ("p",), {("A", "p"): (0.75,)}),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_BUILDS)
+def test_tables_store_their_compared_fields_only(name):
+    table = TABLE_BUILDS[name]()
+    # The case index is derived from the cases when a cell is first read.
+    assert sorted(vars(table)) == sorted(ScoreTable._compared)
+    for i, case in enumerate(table.cases):
+        for system in table.systems:
+            cell = table.cell(case, system)
+            assert cell.names == table.metric_names
+            assert cell.values() == tuple(table.scores_for(system, m)[i] for m in table.metric_names)
+    with pytest.raises(ValueError, match="unknown cell"):
+        table.cell("nope", table.systems[0])
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (ScoreTable, ("col",)),
+        (ScoreTable, ("col", ("q1",), ("A",), ("p",), {("A", "p"): (0.75,)}, {})),
+        (Clustering, ()),
+        (MetricVector, ({"p": 0.5}, {})),
+    ],
+)
+def test_trusted_constructor_takes_exactly_the_compared_fields(cls, fields):
+    with pytest.raises(ValueError):
+        cls._of(*fields)
 
 
 def test_clustering_cached_properties_survive_copies():
