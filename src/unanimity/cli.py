@@ -102,13 +102,12 @@ def _cmd_eval(args: argparse.Namespace) -> str:
         if system_id in ids[:i]:
             raise ValueError(f"two --system files have the system id {system_id!r}")
     gold = parse_clustering(_read(args.gold))
-    pair = MetricPair(args.metrics)
     rows = []
     for path, system_id in zip(args.system, ids):
         system = parse_clustering(_read(path))
         report = validate_pair(system, gold, strict=args.strict)
         # Notes only after scoring, so a refusal (bcubed's) prints none of them.
-        vector = score_pair(system, gold, pair)
+        vector = score_pair(system, gold, args.metrics)
         for note in report.notes:
             print(f"warning: {system_id}: {note}", file=sys.stderr)
         rows.extend((case_id, system_id, name, _fmt(vector[name])) for name in vector.names)
@@ -116,9 +115,10 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    from unanimity.stats import categorize_improvement, parametric_uir
+    from unanimity.stats import _check_level, categorize_improvement, parametric_uir
     from unanimity.uir import unanimous_improvement_ratio
 
+    _check_level(args.significance_level)
     table = _load_table(args.scores, args)
     result = unanimous_improvement_ratio(table, args.a, args.b)
     lines = [
@@ -142,7 +142,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _cmd_rank(args: argparse.Namespace) -> str:
-    from unanimity.report import render_ranking_report
+    from unanimity.report import RankingRow, render_ranking_report
 
     table = _load_table(args.scores, args)
     rows = render_ranking_report(table, args.alpha, args.uir_threshold)
@@ -153,7 +153,7 @@ def _cmd_rank(args: argparse.Namespace) -> str:
                 f"{row.reference_system} (UIR {row.reference_uir:g})",
                 file=sys.stderr,
             )
-    header = ("system", "mean_f", "improved_systems", "reference_system", "reference_uir")
+    # near_baseline, the last field, went to stderr above.
     fields = (
         (
             row.system,
@@ -164,14 +164,14 @@ def _cmd_rank(args: argparse.Namespace) -> str:
         )
         for row in rows
     )
-    return _csv_text(header, fields)
+    return _csv_text(RankingRow._fields[:-1], fields)
 
 
 def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
     from unanimity.experiments import alpha_sweep
 
-    table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
+    table = _load_table(args.scores, args)
     sweep = alpha_sweep(table, grid)
     rows = (
         (system, _fmt(alpha), _fmt(value))
@@ -184,8 +184,8 @@ def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
 def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
     from unanimity.experiments import ThresholdSweepRow, threshold_sweep
 
-    table = _load_table(args.scores, args)
     grid = _parse_grid(args.grid)
+    table = _load_table(args.scores, args)
     rows = threshold_sweep(table, grid, args.alpha, args.significance_level)
     # Every field but the closing count is a ratio or a threshold.
     return _csv_text(
@@ -196,14 +196,11 @@ def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
 def _cmd_predict(args: argparse.Namespace) -> str:
     from unanimity.experiments import predictor_curves
 
-    collections = [_load_table(path, args) for path in args.collections]
-    for path, reference in zip(args.collections, collections):
-        if _same_file(path, args.reference):
-            break
-    else:
-        raise ValueError("reference collection must be among the collections")
     grid = _parse_grid(args.grid)
-    curves = predictor_curves(reference, collections, grid, args.alpha)
+    collections = [_load_table(path, args) for path in args.collections]
+    # predictor_curves refuses a reference that is none of the collections.
+    matches = (t for p, t in zip(args.collections, collections) if _same_file(p, args.reference))
+    curves = predictor_curves(next(matches, None), collections, grid, args.alpha)
     rows = (
         (curve.predictor.value, _fmt(t), _fmt(precision), _fmt(recall))
         for curve in curves

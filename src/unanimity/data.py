@@ -58,12 +58,10 @@ class _Value:
     built; assigning or deleting one later raises ``AttributeError``.  Two
     objects of the same class are equal when the attributes named in
     ``_compared`` are.  The fields hold dicts, so the objects are unhashable.
-    The ``repr`` shows the attributes named in ``_shown``.
+    The ``repr`` shows those whose names do not start with ``_``.
     """
 
-    _shown: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
-    __hash__ = None  # type: ignore[assignment]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,7 +75,7 @@ class _Value:
         return all(getattr(self, n) == getattr(other, n) for n in self._compared)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared if n[0] != "_")
         return f"{type(self).__qualname__}({shown})"
 
     @classmethod
@@ -96,7 +94,7 @@ class Clustering(_Value):
     clusters are read as categories.
     """
 
-    _shown = _compared = ("clusters",)
+    _compared = ("clusters",)
     clusters: Mapping[str, frozenset[str]]
 
     def __init__(self, clusters: Mapping[str, Iterable[str]]):
@@ -234,12 +232,14 @@ def _membership_walk(lines: list[str]) -> NoReturn:
 
 
 def serialize_clustering(clustering: Clustering) -> str:
-    """Canonical TSV form: sorted labels, items sorted within each cluster, LF."""
+    """Canonical TSV form: sorted labels, items sorted within each cluster,
+    LF; a leading U+FEFF, which the parser drops, is doubled."""
     out = []
     for label in clustering.labels:
         for item in sorted(clustering.clusters[label]):
             out.append(f"{label}\t{item}\n")
-    return "".join(out)
+    text = "".join(out)
+    return "\ufeff" + text if text.startswith("\ufeff") else text
 
 
 class ValidationReport(NamedTuple):
@@ -296,7 +296,7 @@ class MetricVector(_Value):
     two-metric tables, reads as (precision-like, recall-like).
     """
 
-    _shown = _compared = ("scores",)
+    _compared = ("scores",)
     scores: Mapping[str, float]
 
     def __init__(self, scores: Mapping[str, float]):
@@ -391,12 +391,11 @@ class ScoreTable(_Value):
     Scores are stored once, one tuple per (system, metric) column in case
     order; a cell's ``MetricVector`` is built only when ``cell()`` asks for
     it.  The constructor takes one metric vector per (case, system) cell.
-    Equality compares the shown fields and the columns; the case index
-    derives from the cases on first use.
+    Equality compares the fields below, and the ``repr`` shows all but the
+    columns; the case index derives from the cases on first use.
     """
 
-    _shown = ("collection_id", "cases", "systems", "metric_names")
-    _compared = _shown + ("_columns",)
+    _compared = ("collection_id", "cases", "systems", "metric_names", "_columns")
     collection_id: str
     cases: tuple[str, ...]
     systems: tuple[str, ...]

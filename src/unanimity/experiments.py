@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from unanimity.data import ScoreTable
 from unanimity.metrics import _mean_f, mean_f_measure, metric_pair_columns
-from unanimity.stats import ImprovementCategory, _categories, parametric_uir
+from unanimity.stats import ImprovementCategory, _categories, _check_level, parametric_uir
 from unanimity.uir import _f_gain_set, _f_gains, _pair_layout
 
 ALPHA_GRID_POINTS = 101
@@ -152,7 +152,7 @@ def threshold_sweep(
         raise ValueError("threshold sweep needs at least 2 systems")
     p_col, r_col = metric_pair_columns(table)  # a wider table is refused before any pair work
     ranks, pairs, results = _pair_layout(table)
-    categories = _categories(table, pairs, significance_level, ranks)
+    _check_level(significance_level)
     alphas = alpha_grid()
     columns = {s: (table.scores_for(s, p_col), table.scores_for(s, r_col)) for s in systems}
     known: dict[str, dict[float, float]] = {s: {} for s in systems}
@@ -166,6 +166,7 @@ def threshold_sweep(
 
     bounds = {s: _convex_bounds(mean_f(s, alphas[::_STEP]), len(table.cases)) for s in systems}
     means = {s: mean_f(s, (alpha,))[0] for s in systems}
+    categories = _categories(table, pairs, significance_level, ranks)
     # Mirrors follow their pairs: a category is symmetric.  The all-alpha
     # flag: the bounds settle most pairs, by lo_a > hi_b everywhere or
     # hi_a <= lo_b somewhere; the rest compare exact curves.

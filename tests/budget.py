@@ -1,5 +1,5 @@
 """Memory budget of ``rank``, ``threshold-sweep``, ``predict`` and
-``alpha-sweep`` at the end of the pair budget.
+``alpha-sweep`` at the end of the pair budget, and one early refusal.
 
 Writes three seeded 1000-system x 20-case score tables (two metrics, random
 scores in steps of 0.001) and runs, each as a child process of
@@ -7,8 +7,11 @@ scores in steps of 0.001) and runs, each as a child process of
 ``alpha-sweep`` on the first table, and ``predict`` with the first as
 reference over all three.  For each it prints the child's wall time, its
 own peak resident memory (``ru_maxrss`` from ``os.wait4``) and the sha256
-of its stdout.  Exits 1 when a child fails or its peak is above its budget
-in ``PEAK_MB``.
+of its stdout.  Then ``threshold-sweep --alpha 2`` on the first table must
+exit 1 with no stdout and the one line ``REFUSAL`` on stderr, in under a
+tenth of the wall time of the ``threshold-sweep`` above: the option is
+refused before any pair's signed-rank test.  Exits 1 when a child fails,
+its peak is above its budget in ``PEAK_MB``, or the refusal is wrong or late.
 
 Standard library only; the package must be importable by this interpreter:
 
@@ -28,6 +31,7 @@ SYSTEMS = 1000
 CASES = 20
 SEEDS = (0, 1, 2)
 PEAK_MB = {"rank": 160, "threshold-sweep": 180, "predict": 138, "alpha-sweep": 130}
+REFUSAL = b"error: invalid: alpha 2.0 outside [0, 1]\n"
 
 
 def write_table(path: Path, seed: int) -> None:
@@ -69,9 +73,11 @@ def main() -> int:
             "predict": ["predict", "--reference", tables[0], "--collections", *tables],
             "alpha-sweep": ["alpha-sweep", "--scores", tables[0], "--grid", "0:1:0.001"],
         }
+        walls = {}
         for command, args in commands.items():
             argv = [sys.executable, "-m", "unanimity.cli", *args]
             code, wall, peak, stdout, stderr = run(argv, directory)
+            walls[command] = wall
             digest = hashlib.sha256(stdout).hexdigest()
             print(
                 f"{command} on {SYSTEMS} systems x {CASES} cases: {wall:.2f} s, "
@@ -83,6 +89,15 @@ def main() -> int:
             elif peak > PEAK_MB[command]:
                 print(f"peak {peak:.1f} MB is above the {PEAK_MB[command]} MB budget")
                 failed = True
+        argv = [sys.executable, "-m", "unanimity.cli", *commands["threshold-sweep"], "--alpha", "2"]
+        code, wall, _, stdout, stderr = run(argv, directory)
+        print(f"threshold-sweep --alpha 2: exit {code}, {wall:.2f} s")
+        if (code, stdout, stderr) != (1, b"", REFUSAL):
+            print(f"expected exit 1, no stdout and {REFUSAL!r} on stderr; got {stderr!r}")
+            failed = True
+        elif wall >= walls["threshold-sweep"] / 10:
+            print(f"slower than a tenth of threshold-sweep's {walls['threshold-sweep']:.2f} s")
+            failed = True
     return 1 if failed else 0
 
 

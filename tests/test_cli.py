@@ -203,6 +203,18 @@ class TestCompare:
         assert main(["compare", "--scores", scores_csv, "--a", "A", "--b", "nope"]) == 1
         assert capsys.readouterr().err.startswith("error: invalid: unknown system")
 
+    @pytest.mark.parametrize("level", ["2", "nan"])
+    @pytest.mark.parametrize("metrics", [("p", "r"), ("p", "r", "x")])
+    def test_significance_level_refused_on_any_table(self, tmp_path, metrics, level, capsys):
+        path = tmp_path / "t.csv"
+        scores = {"A": [(0.5, 0.4, 0.3)] * 3, "B": [(0.4, 0.5, 0.3)] * 3}
+        path.write_text(serialize_score_table(make_table(scores, metrics)), encoding="utf-8")
+        for scores_file in (path, tmp_path / "missing.csv"):
+            argv = ["compare", "--scores", str(scores_file), "--a", "A", "--b", "B"]
+            code, out, err = run_cli(capsys, [*argv, "--significance-level", level])
+            expected = f"error: invalid: significance level {float(level)} outside (0, 1)\n"
+            assert (code, out, err) == (1, "", expected)
+
     def test_percent_flag(self, tmp_path, capsys):
         path = tmp_path / "pct.csv"
         path.write_text(
@@ -541,6 +553,17 @@ class TestSweeps:
         command, scores, *rest = argv
         assert main([command, "--scores", str(tmp_path / scores), *rest]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["alpha-sweep", "threshold-sweep", "predict"])
+    def test_bad_grid_refused_before_any_file_is_read(self, tmp_path, command, capsys):
+        missing = str(tmp_path / "missing.csv")
+        if command == "predict":
+            files = ["--reference", missing, "--collections", missing, missing]
+        else:
+            files = ["--scores", missing]
+        code, out, err = run_cli(capsys, [command, *files, "--grid", "0:1"])
+        expected = "error: invalid: bad grid '0:1', expected start:stop:step\n"
+        assert (code, out, err) == (1, "", expected)
 
     def test_grid_cap_is_inclusive(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS

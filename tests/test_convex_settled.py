@@ -281,3 +281,11 @@ def test_invalid_inputs_raise_the_earliest_error(broken):
     with pytest.raises(ValueError) as info:
         broken_sweep(broken)
     assert str(info.value) == ERRORS[broken[0]]
+
+
+@pytest.mark.parametrize("broken", ["level", "alpha", "nan"])
+def test_options_are_refused_before_any_pair_test(broken):
+    pair_tests = mock.patch.object(experiments, "_categories", side_effect=AssertionError)
+    with pair_tests, pytest.raises(ValueError) as info:
+        broken_sweep((broken,))
+    assert str(info.value) == ERRORS[broken]

@@ -134,12 +134,10 @@ class TestParseClustering:
         with pytest.raises(ParseError, match="no clusters"):
             parse_clustering("# only comments\n")
 
-    # U+FEFF is left out: _read_lines drops one at the start of a file, so a
-    # label that begins with it loses it when it sorts first.
     @settings(max_examples=300, deadline=None)
     @given(
         st.dictionaries(
-            st.text("#\t\n\r a", min_size=1, max_size=4),
+            st.text("#\t\n\r a\ufeff", min_size=1, max_size=4),
             st.sets(st.sampled_from(["x", "y", "z"]), min_size=1),
             min_size=1,
         )
@@ -187,6 +185,19 @@ class TestValidatePair:
         g = Clustering({"y": {"a", "b"}})
         with pytest.raises(ValidationError, match="b"):
             validate_pair(s, g, strict=True)
+
+    @pytest.mark.parametrize(
+        "gold, message",
+        [
+            ({"a"}, "system items absent from gold: y z"),
+            ({"a", "b"}, "system items absent from gold: y z; gold items absent from system: b"),
+        ],
+    )
+    def test_strict_names_system_only_items(self, gold, message):
+        s = Clustering({"x": {"a", "z", "y"}})
+        with pytest.raises(ValidationError) as info:
+            validate_pair(s, Clustering({"g": gold}), strict=True)
+        assert str(info.value) == message
 
 
 class TestMetricVector:

@@ -3,6 +3,8 @@ first use: the same list, the same objects, and star import, ``dir`` and
 unknown names behaving as for a module that imported them all."""
 
 import importlib
+import sys
+from unittest import mock
 
 import pytest
 
@@ -104,3 +106,15 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"module 'unanimity' has no attribute '{name}'"):
         getattr(unanimity, name)
     assert not hasattr(unanimity, name)
+
+
+def test_a_submodule_read_before_its_import_is_imported():
+    # A fresh copy of the package, in this process, whose submodules are not
+    # yet attributes; the test's end puts the loaded modules back.
+    with mock.patch.dict(sys.modules):
+        for name in [m for m in sys.modules if m.split(".")[0] == "unanimity"]:
+            del sys.modules[name]
+        fresh = importlib.import_module("unanimity")
+        assert "stats" not in vars(fresh)
+        assert fresh.stats is sys.modules["unanimity.stats"]
+    assert sys.modules["unanimity"] is unanimity

@@ -205,6 +205,11 @@ class TestWilcoxon:
         assert res.p_value == 2 / 32
         assert not res.significant
 
+    def test_a_sample_of_non_numbers_refused(self):
+        with pytest.raises(ValueError) as info:
+            wilcoxon_signed_rank([None], [1.0])
+        assert str(info.value) == "paired samples must be equal-length 1-d sequences"
+
     def test_all_one_sided_n6_significant(self):
         x = [1, 2, 3, 4, 5, 6]
         y = [v + 0.1 for v in x]
@@ -358,6 +363,11 @@ class TestFit:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="insufficient"):
             fit_bivariate_normal([(0.1, 0.2), (0.3, 0.4)])
+
+    def test_a_non_iterable_is_too_few_samples(self):
+        with pytest.raises(ValueError) as info:
+            fit_bivariate_normal(5)
+        assert str(info.value) == "insufficient samples for parametric UIR (need >= 3 pairs)"
 
     def test_constructor_does_not_regularize(self):
         # Degenerate models may be built directly; only fitting regularizes.
