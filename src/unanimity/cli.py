@@ -29,7 +29,7 @@ from unanimity.data import (
     parse_score_table,
     validate_pair,
 )
-from unanimity.metrics import MetricPair, metric_pair_columns, score_pair
+from unanimity.metrics import MetricPair, _check_alpha, metric_pair_columns, score_pair
 
 MAX_GRID_POINTS = 100_000
 METRIC_PAIRS = [pair.value for pair in MetricPair]
@@ -141,11 +141,21 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_rank(args: argparse.Namespace) -> str:
-    from unanimity.report import RankingRow, render_ranking_report
+def _check_improved_ids(rows: list) -> None:
+    """``improved_systems`` joins ids with spaces, so no id listed there may hold whitespace."""
+    spaced = {row.system for row in rows if any(map(str.isspace, row.system))}
+    for system in (s for row in rows for s in row.improved_systems if s in spaced):
+        raise ValueError(f"system id {system!r} holds whitespace, on which improved_systems splits")
 
+
+def _cmd_rank(args: argparse.Namespace) -> str:
+    from unanimity.report import RankingRow, _check_uir_threshold, render_ranking_report
+
+    _check_uir_threshold(args.uir_threshold)
+    _check_alpha(args.alpha)
     table = _load_table(args.scores, args)
     rows = render_ranking_report(table, args.alpha, args.uir_threshold)
+    _check_improved_ids(rows)
     for row in rows:
         if row.near_baseline:
             print(
@@ -168,9 +178,9 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 
 def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
-    from unanimity.experiments import alpha_sweep
+    from unanimity.experiments import _check_grid, alpha_sweep
 
-    grid = _parse_grid(args.grid)
+    grid = _check_grid(_parse_grid(args.grid), "alpha")
     table = _load_table(args.scores, args)
     sweep = alpha_sweep(table, grid)
     rows = (
@@ -182,9 +192,12 @@ def _cmd_alpha_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
-    from unanimity.experiments import ThresholdSweepRow, threshold_sweep
+    from unanimity.experiments import ThresholdSweepRow, _check_grid, threshold_sweep
+    from unanimity.stats import _check_level
 
-    grid = _parse_grid(args.grid)
+    grid = _check_grid(_parse_grid(args.grid), "threshold")
+    _check_level(args.significance_level)
+    _check_alpha(args.alpha)
     table = _load_table(args.scores, args)
     rows = threshold_sweep(table, grid, args.alpha, args.significance_level)
     # Every field but the closing count is a ratio or a threshold.
@@ -194,9 +207,10 @@ def _cmd_threshold_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_predict(args: argparse.Namespace) -> str:
-    from unanimity.experiments import predictor_curves
+    from unanimity.experiments import _check_grid, predictor_curves
 
-    grid = _parse_grid(args.grid)
+    grid = _check_grid(_parse_grid(args.grid), "threshold")
+    _check_alpha(args.alpha)
     collections = [_load_table(path, args) for path in args.collections]
     # predictor_curves refuses a reference that is none of the collections.
     matches = (t for p, t in zip(args.collections, collections) if _same_file(p, args.reference))
@@ -282,8 +296,8 @@ def _error_category(exc: Exception) -> str:
 
 
 def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file, by resolved path or ``os.path.samefile``."""
-    return Path(a).resolve() == Path(b).resolve() or (
+    """Whether two paths name one file, by ``os.path.realpath`` (safe on link loops) or samefile."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
         os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
     )
 

@@ -35,7 +35,8 @@ def alpha_grid(points: int = ALPHA_GRID_POINTS) -> tuple[float, ...]:
     return tuple(i / (points - 1) for i in range(points))
 
 
-def _check_grid(grid: Sequence[float], lo: float, hi: float, what: str) -> tuple[float, ...]:
+def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
+    lo, hi = {"alpha": (0.0, 1.0), "threshold": (-1.0, 1.0)}[what]
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise ValueError(f"empty {what} grid")
@@ -102,7 +103,7 @@ class AlphaSweep(NamedTuple):
 
 def alpha_sweep(table: ScoreTable, grid: Sequence[float] | None = None) -> AlphaSweep:
     """Mean F of each system at every alpha of the grid."""
-    grid = alpha_grid() if grid is None else _check_grid(grid, 0.0, 1.0, "alpha")
+    grid = alpha_grid() if grid is None else _check_grid(grid, "alpha")
     p_col, r_col = metric_pair_columns(table)
     curves: dict[str, tuple[float, ...]] = {}
     for system in table.systems:
@@ -146,7 +147,7 @@ def threshold_sweep(
     difference is positive at every alpha of the 101-point grid, and
     ``f05_ratio`` the share positive at the single ``alpha`` given here.
     """
-    grid = _check_grid(grid, -1.0, 1.0, "threshold")
+    grid = _check_grid(grid, "threshold")
     systems = table.systems
     if len(systems) < 2:
         raise ValueError("threshold sweep needs at least 2 systems")
@@ -237,7 +238,7 @@ def predictor_curves(
     predictor value strictly exceeds t.  The reference must be one of the
     collections, or equal to one; a shared ``collection_id`` is not enough.
     """
-    grid = _check_grid(grid, -1.0, 1.0, "threshold")
+    grid = _check_grid(grid, "threshold")
     # ``in`` tests identity first, then equality.
     if reference not in collections:
         raise ValueError("reference collection must be among the collections")

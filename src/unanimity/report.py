@@ -30,6 +30,11 @@ class RankingRow(NamedTuple):
     near_baseline: bool
 
 
+def _check_uir_threshold(uir_threshold: float) -> None:
+    if not -1.0 <= uir_threshold <= 1.0:
+        raise ValueError(f"UIR threshold {uir_threshold} outside [-1, 1]")
+
+
 def render_ranking_report(
     table: ScoreTable,
     alpha: float = 0.5,
@@ -42,8 +47,7 @@ def render_ranking_report(
     when positive.  ``near_baseline`` flags reference UIR at or above 0.9.
     A threshold outside [-1, 1], NaN included, raises ``ValueError``.
     """
-    if not -1.0 <= uir_threshold <= 1.0:
-        raise ValueError(f"UIR threshold {uir_threshold} outside [-1, 1]")
+    _check_uir_threshold(uir_threshold)
     _, pairs, results = _pair_layout(table)
     means = {s: mean_f_measure(table, s, alpha) for s in table.systems}
     # uir_over[s][o] is UIR(o, s); UIR(s, o) is its negation.

@@ -7,10 +7,11 @@ scores in steps of 0.001) and runs, each as a child process of
 ``alpha-sweep`` on the first table, and ``predict`` with the first as
 reference over all three.  For each it prints the child's wall time, its
 own peak resident memory (``ru_maxrss`` from ``os.wait4``) and the sha256
-of its stdout.  Then ``threshold-sweep --alpha 2`` on the first table must
-exit 1 with no stdout and the one line ``REFUSAL`` on stderr, in under a
-tenth of the wall time of the ``threshold-sweep`` above: the option is
-refused before any pair's signed-rank test.  Exits 1 when a child fails,
+of its stdout, which must equal the one pinned in ``STDOUT_SHA256``.  Then
+``threshold-sweep --alpha 2`` on the first table must exit 1 with no stdout
+and the one line ``REFUSAL`` on stderr, in under a tenth of the wall time of
+the ``threshold-sweep`` above: the option is refused before the table is
+read.  Exits 1 when a child fails, its stdout differs from the pinned one,
 its peak is above its budget in ``PEAK_MB``, or the refusal is wrong or late.
 
 Standard library only; the package must be importable by this interpreter:
@@ -32,6 +33,13 @@ CASES = 20
 SEEDS = (0, 1, 2)
 PEAK_MB = {"rank": 160, "threshold-sweep": 180, "predict": 138, "alpha-sweep": 130}
 REFUSAL = b"error: invalid: alpha 2.0 outside [0, 1]\n"
+# The same under Python 3.10 to 3.13.
+STDOUT_SHA256 = {
+    "rank": "1e502ff484f154d561ccefa07d5f31324caaaa6a8519082c2f3fac9463b43246",
+    "threshold-sweep": "2a275d0fbc52c564676969af441996185d8088d72d7f2e9592053c2c2490a5a4",
+    "predict": "4de346d7abe96fffaac50ea3cb537a7045614e33abc6413805aff35a60176fe4",
+    "alpha-sweep": "34dffe81be964e1e5ddf7b3f67cc8af23f3dddb2a1db1b78020c3401af202715",
+}
 
 
 def write_table(path: Path, seed: int) -> None:
@@ -85,6 +93,9 @@ def main() -> int:
             )
             if code != 0:
                 print(f"{command} exited {code}: {stderr.decode(errors='replace').strip()}")
+                failed = True
+            elif digest != STDOUT_SHA256[command]:
+                print(f"stdout differs from the pinned sha256 {STDOUT_SHA256[command]}")
                 failed = True
             elif peak > PEAK_MB[command]:
                 print(f"peak {peak:.1f} MB is above the {PEAK_MB[command]} MB budget")

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import unanimity
+from unanimity import cli
 from unanimity.cli import MAX_GRID_POINTS, _parse_grid, main
 from unanimity.data import parse_score_table, serialize_score_table
+from unanimity.experiments import predictor_curves, threshold_sweep
+from unanimity.report import render_ranking_report
 
 import budget
 from conftest import make_table, two_system_table
@@ -256,6 +259,18 @@ class TestRank:
     def test_uir_threshold_bounds_accepted(self, scores_csv, value, capsys):
         assert main(["rank", "--scores", scores_csv, f"--uir-threshold={value}"]) == 0
         assert capsys.readouterr().out.startswith("system,mean_f")
+
+    def test_improved_system_id_with_whitespace_refused(self, tmp_path, capsys):
+        # c improves "a b": its improved_systems field would read back as two ids.
+        path = tmp_path / "spaced.csv"
+        scores = {"c": [(0.9, 0.9)] * 3, "a b": [(0.5, 0.5)] * 3}
+        path.write_text(serialize_score_table(make_table(scores)), encoding="utf-8")
+        message = "system id 'a b' holds whitespace, on which improved_systems splits"
+        code, out, err = run_cli(capsys, ["rank", "--scores", str(path)])
+        assert (code, out, err) == (1, "", f"error: invalid: {message}\n")
+        # Listed by no row, such an id is ranked; other commands take it anyway.
+        assert main(["rank", "--scores", str(path), "--uir-threshold", "1"]) == 0
+        assert main(["compare", "--scores", str(path), "--a", "a b", "--b", "c"]) == 0
 
     def test_deterministic_bytes(self, scores_csv, capsys):
         main(["rank", "--scores", scores_csv])
@@ -664,6 +679,86 @@ class TestPredict:
         argv = ["predict", "--reference", paths[0], "--collections", *paths, "--grid=0:1:0.5"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (1, "", "error: invalid: metric names differ across collections\n")
+
+
+class TestOptionOrder:
+    """Every subcommand refuses an invalid option before it reads any file,
+    through the function that checks it in the library, so it prints the
+    library's message, and names the library's first of two invalid
+    options.  ``eval`` takes no range-checked option."""
+
+    # Each range-checked option, out of range and, for a float, NaN.
+    REFUSALS = [
+        ("compare", ["--significance-level", "2"], "significance level 2.0 outside (0, 1)"),
+        ("compare", ["--significance-level", "nan"], "significance level nan outside (0, 1)"),
+        ("rank", ["--uir-threshold", "5"], "UIR threshold 5.0 outside [-1, 1]"),
+        ("rank", ["--uir-threshold", "nan"], "UIR threshold nan outside [-1, 1]"),
+        ("rank", ["--alpha", "2"], "alpha 2.0 outside [0, 1]"),
+        ("rank", ["--alpha", "nan"], "alpha nan outside [0, 1]"),
+        ("alpha-sweep", ["--grid", "0:2:1"], "alpha grid outside [0.0, 1.0]"),
+        ("threshold-sweep", ["--grid=-2:1:0.5"], "threshold grid outside [-1.0, 1.0]"),
+        ("threshold-sweep", ["--significance-level", "2"], "significance level 2.0 outside (0, 1)"),
+        ("threshold-sweep", ["--significance-level", "nan"], "significance level nan outside (0, 1)"),
+        ("threshold-sweep", ["--alpha", "2"], "alpha 2.0 outside [0, 1]"),
+        ("threshold-sweep", ["--alpha", "nan"], "alpha nan outside [0, 1]"),
+        ("predict", ["--grid=-2:1:0.5"], "threshold grid outside [-1.0, 1.0]"),
+        ("predict", ["--alpha", "2"], "alpha 2.0 outside [0, 1]"),
+        ("predict", ["--alpha", "nan"], "alpha nan outside [0, 1]"),
+    ]
+
+    # Two invalid options at once, and the library call given the same values.
+    TWICE_INVALID = {
+        "threshold-sweep grid and level": (
+            ["threshold-sweep", "--grid=-2:1:0.5", "--significance-level", "2"],
+            lambda tables: threshold_sweep(tables[0], _parse_grid("-2:1:0.5"), 0.5, 2.0),
+        ),
+        "threshold-sweep level and alpha": (
+            ["threshold-sweep", "--significance-level", "2", "--alpha", "2"],
+            lambda tables: threshold_sweep(tables[0], _parse_grid("-1:1:0.05"), 2.0, 2.0),
+        ),
+        "rank threshold and alpha": (
+            ["rank", "--uir-threshold", "5", "--alpha", "2"],
+            lambda tables: render_ranking_report(tables[0], 2.0, 5.0),
+        ),
+        "predict grid and alpha": (
+            ["predict", "--grid=-2:1:0.5", "--alpha", "2"],
+            lambda tables: predictor_curves(tables[0], tables, _parse_grid("-2:1:0.5"), 2.0),
+        ),
+    }
+
+    @staticmethod
+    def runs(capsys, monkeypatch, collections, tmp_path, command, *options):
+        """Exit status, stdout, stderr and the files read, of the command on
+        missing files and then on ``collections``."""
+        read, original = [], cli._read
+        monkeypatch.setattr(cli, "_read", lambda path: read.append(path) or original(path))
+        results = []
+        for paths in ([str(tmp_path / f"missing{i}.csv") for i in range(3)], collections):
+            if command == "predict":
+                files = ["--reference", paths[0], "--collections", *paths]
+            else:
+                pair = ["--a", "x", "--b", "y"] if command == "compare" else []
+                files = ["--scores", paths[0], *pair]
+            results.append((*run_cli(capsys, [command, *files, *options]), list(read)))
+        return results
+
+    @pytest.mark.parametrize("command, options, message", REFUSALS)
+    def test_refused_by_its_owner_before_any_file_is_read(
+        self, command, options, message, collections, tmp_path, capsys, monkeypatch
+    ):
+        expected = (1, "", f"error: invalid: {message}\n", [])
+        runs = self.runs(capsys, monkeypatch, collections, tmp_path, command, *options)
+        assert runs == [expected, expected]
+
+    @pytest.mark.parametrize("case", list(TWICE_INVALID))
+    def test_first_refusal_is_the_librarys(self, case, collections, tmp_path, capsys, monkeypatch):
+        (command, *options), library_call = self.TWICE_INVALID[case]
+        tables = [parse_score_table(Path(path).read_text(encoding="utf-8")) for path in collections]
+        with pytest.raises(ValueError) as info:
+            library_call(tables)
+        expected = (1, "", f"error: invalid: {info.value}\n", [])
+        runs = self.runs(capsys, monkeypatch, collections, tmp_path, command, *options)
+        assert runs == [expected, expected]
 
 
 def run_cli(capsys, argv):

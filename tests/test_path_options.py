@@ -1,7 +1,7 @@
-"""Options that name files: an empty path is refused, and ``--output`` never
-names a file the command reads.
+"""Options that name files: an empty path is refused, ``--output`` never
+names a file the command reads, and a symbolic-link loop is one error line.
 
-Both run every command on a copy of the golden inputs in ``tests/data``.
+All run commands on a copy of the golden inputs in ``tests/data``.
 The ``--output`` rule is checked against the paths the command actually
 opens, not against how its options are declared.
 """
@@ -76,3 +76,21 @@ def test_output_naming_any_file_read_is_refused(name, data, capsys, monkeypatch)
         assert "is also an input file" in err
     assert {path: Path(path).read_bytes() for path in inputs} == before
     assert sorted(os.listdir()) == listing
+
+
+LOOPS = {
+    "input": ["rank", "--scores", "loop", "--output", "out.csv"],
+    "output": ["rank", "--scores", "scores.csv", "--output", "loop"],
+    "reference": ["predict", "--reference", "loop", "--collections", "scores.csv", "second.csv"],
+}
+
+
+@pytest.mark.parametrize("where", list(LOOPS))
+def test_symbolic_link_loop_is_one_error_line(where, data, capsys):
+    os.symlink("loop", "loop")
+    code, (out, err) = main(LOOPS[where]), capsys.readouterr()
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    if where == "reference":
+        assert err == "error: invalid: reference collection must be among the collections\n"
+    else:
+        assert err.startswith("error: io: ") and err.endswith("'loop'\n")
